@@ -185,8 +185,7 @@ func (q TopKQuery) cacheKey(dims int, snap *snapshot) string {
 // queries get the same key exactly when they are guaranteed to produce
 // the same Result against the same model and data. It is the
 // scope-free form of the engine's internal result-cache key — external
-// caches (a multi-dataset registry caching sharded merged results, a
-// fronting proxy) combine it with their own scope, typically the
+// caches (a fronting proxy, say) combine it with their own scope, typically the
 // dataset name and artifact version, and must invalidate that scope
 // whenever the underlying model or data changes.
 func (q Query) CacheKey(dims int) string {

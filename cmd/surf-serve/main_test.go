@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +76,15 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run(ctx, serveOpts{registryPath: bad}, nil); err == nil {
 		t.Error("expected error for unknown registry config field")
+	}
+	// A stale config still carrying the removed shard count fails at
+	// start-up, naming the field.
+	stale := filepath.Join(t.TempDir(), "stale.json")
+	if err := os.WriteFile(stale, []byte(`{"models": [{"name": "a", "data": "x.csv", "shards": 2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(ctx, serveOpts{registryPath: stale}, nil); err == nil || !strings.Contains(err.Error(), `"shards"`) {
+		t.Errorf("stale shards config: got %v, want an error naming \"shards\"", err)
 	}
 }
 
@@ -267,7 +277,7 @@ func trainTestArtifact(t *testing.T, data, out string) {
 }
 
 // TestServeRegistryEndToEnd boots surf-serve -registry over a
-// two-model catalog (one sharded), drives cross-dataset routing, the
+// two-model catalog, drives cross-dataset routing, the
 // admin API and a live hot-swap, then shuts down via cancellation.
 func TestServeRegistryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
@@ -286,7 +296,7 @@ func TestServeRegistryEndToEnd(t *testing.T) {
 		Models: []modelConfig{
 			{Name: "one", Spec: registry.Spec{
 				Data: dataOne, FilterColumns: []string{"x", "y"},
-				Statistic: "count", Artifact: model, Shards: 2,
+				Statistic: "count", Artifact: model,
 			}},
 			{Name: "two", Spec: registry.Spec{
 				Data: dataTwo, FilterColumns: []string{"x", "y"},
@@ -359,7 +369,7 @@ func TestServeRegistryEndToEnd(t *testing.T) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode
 	}
-	if got := find(""); got != http.StatusOK { // default → "one", the sharded entry
+	if got := find(""); got != http.StatusOK { // default → "one"
 		t.Fatalf("default-dataset find: status %d", got)
 	}
 	if got := find("two"); got != http.StatusOK {

@@ -140,24 +140,21 @@
 // # Inference backends
 //
 // Every surrogate prediction — the swarm's batch objective,
-// PredictStatistic(Batch), FindMany — is served by a pluggable
-// inference kernel chosen at Open time. WithInferenceKernel selects
-// one of InferenceKernels(): "scalar", the portable flat-node float64
-// traversal, or "binned" (the default), which quantizes split
-// thresholds into per-feature cut ranks at compile time, pre-bins each
-// row's values into uint16 bin indices with one branchless binary
-// search per feature, and walks 8-byte integer-comparison nodes in
-// L1-sized row tiles. Binning is by rank, not by rounded value, so
-// every backend predicts bit-for-bit identically — the choice is
-// purely an execution knob and never changes mined regions (a
-// differential fuzz target holds backends to that contract). Without
-// the option, the SURF_KERNEL environment variable decides, then the
-// built-in default. SurrogateInfo.Kernel reports the backend actually
-// serving the current snapshot: an ensemble a backend cannot represent
-// (the binned encoding bounds features and distinct cuts per feature
-// at 65535) falls back to scalar and reports that. Artifacts carry
-// weights, not a backend — a loaded artifact is recompiled for the
-// loading engine's kernel.
+// PredictStatistic(Batch), FindMany — is served by a compiled
+// inference kernel. Engines always compile with "binned", which
+// quantizes split thresholds into per-feature cut ranks at compile
+// time, pre-bins each row's values into uint16 bin indices with one
+// branchless binary search per feature, and walks 8-byte
+// integer-comparison nodes in L1-sized row tiles. "scalar", the
+// portable flat-node float64 traversal, is the automatic fallback for
+// an ensemble binned cannot represent (the binned encoding bounds
+// features and distinct cuts per feature at 65535) and the oracle the
+// parity tests compare against. Binning is by rank, not by rounded
+// value, so both backends predict bit-for-bit identically (a
+// differential fuzz target holds them to that contract).
+// SurrogateInfo.Kernel reports the backend actually serving the
+// current snapshot, so a fallback is visible. Artifacts carry weights,
+// not a backend — a loaded artifact is recompiled on load.
 //
 // # Serving and caching
 //
@@ -183,10 +180,7 @@
 // concurrency-safe catalog of named, versioned engine entries that
 // load lazily, evict least-recently-used under a capacity bound
 // (never while serving a query) and hot-swap atomically — in-flight
-// queries finish against the engine set they pinned. Entries may
-// shard execution across contiguous row ranges, with per-shard Find
-// results merged through the same IoU clustering that dedupes a
-// single swarm. The server routes queries by a "dataset" field and
+// queries finish against the engine set they pinned. The server routes queries by a "dataset" field and
 // manages entries through the PUT/DELETE /v1/models admin API.
 //
 // Engines also keep a small LRU result cache over canonicalized
@@ -218,7 +212,7 @@
 // The registry automates the loop: entries created from a Spec with
 // DriftThreshold carry a reservoir of sampled training queries, and
 // Registry.Append (exposed as POST /v1/datasets/{name}/append)
-// commits rows, re-points every shard at the new version, replays
+// commits rows, swaps the new version into the entry's engine, replays
 // the reservoir against the true evaluator to score drift, and —
 // past the threshold — kicks a cancellable background retrain that
 // republishes through the same atomic hot swap, never dropping an

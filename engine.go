@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -57,19 +55,6 @@ func (d *Dataset) Column(name string) []float64 {
 
 // WriteCSV writes the dataset as CSV with a header row.
 func (d *Dataset) WriteCSV(w io.Writer) error { return d.inner.WriteCSV(w) }
-
-// Slice returns a view of rows [lo, hi) sharing the receiver's column
-// storage — datasets are immutable, so no rows are copied. This is the
-// substrate of sharded execution: a registry entry splits one dataset
-// into row-range shards, opens an engine per shard, and merges the
-// per-shard results, at no extra memory cost for the row data.
-func (d *Dataset) Slice(lo, hi int) (*Dataset, error) {
-	inner, err := d.inner.Slice(lo, hi)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	return &Dataset{inner: inner}, nil
-}
 
 // Config describes what a region query computes over a dataset.
 type Config struct {
@@ -252,10 +237,6 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&eo)
 	}
-	kb, err := resolveKernel(eo.kernelName)
-	if err != nil {
-		return nil, err
-	}
 	spec := dataset.Spec{Stat: kind}
 	for _, name := range cfg.FilterColumns {
 		i := ds.inner.ColByName(name)
@@ -277,6 +258,7 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	dims := len(spec.FilterCols)
 
 	var ev dataset.Evaluator
+	var err error
 	switch {
 	case eo.backend != nil:
 		ev = backendEvaluator{b: eo.backend, spec: spec, dims: dims}
@@ -323,7 +305,7 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 		spec:        spec,
 		names:       ds.inner.Names(),
 		observer:    eo.observer,
-		kernel:      kb,
+		kernel:      kernel.Default(),
 		useGrid:     cfg.UseGridIndex,
 		backend:     eo.backend,
 		domainFixed: eo.domainSet,
@@ -337,26 +319,6 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 		view: &dataView{data: ds.inner, evaluator: ev, domain: domain, version: 1},
 	})
 	return e, nil
-}
-
-// resolveKernel maps the WithInferenceKernel option to an inference
-// backend: an explicit name must be registered (unknown names are a
-// config error, caught at Open rather than at the first prediction);
-// with no option the SURF_KERNEL environment variable, then the
-// built-in default, decide.
-func resolveKernel(name string) (kernel.Backend, error) {
-	if name == "" {
-		name = os.Getenv(kernel.EnvVar)
-	}
-	if name == "" {
-		return kernel.Default(), nil
-	}
-	b, ok := kernel.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown inference kernel %q (have %s)",
-			ErrBadConfig, name, strings.Join(kernel.Names(), ", "))
-	}
-	return b, nil
 }
 
 // Dims returns the region dimensionality d.

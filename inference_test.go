@@ -3,8 +3,11 @@ package surf
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
+
+	"surf/internal/gbt/kernel"
 )
 
 // inferenceEngine builds a small trained engine for the batch
@@ -77,25 +80,24 @@ func TestPredictStatisticBatch(t *testing.T) {
 	}
 }
 
-// TestInferenceKernelSelection: WithInferenceKernel picks the backend
-// serving the surrogate, SurrogateInfo reports it, an unknown name is
-// a config error at Open, and every backend predicts bit-identically —
-// the whole point of the kernel seam.
+// TestInferenceKernelSelection: engines serving the same artifact
+// through different inference backends report the backend in
+// SurrogateInfo and predict bit-identically — the contract that lets
+// the engine always compile with the default backend while scalar
+// stays the fallback and the reference.
 func TestInferenceKernelSelection(t *testing.T) {
-	if _, err := Open(crimeGrid(500, 39), Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithInferenceKernel("simd9000")); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unknown kernel: got %v, want ErrBadConfig", err)
-	}
-
-	names := InferenceKernels()
+	names := kernel.Names()
 	if len(names) < 2 {
-		t.Fatalf("InferenceKernels() = %v, want scalar and binned at least", names)
+		t.Fatalf("kernel.Names() = %v, want scalar and binned at least", names)
 	}
 
 	// Train once, then restore the identical artifact into one engine
 	// per backend: artifacts carry weights, not a backend, so each
 	// engine recompiles for its own kernel.
 	ref := inferenceEngine(t)
+	if info, _ := ref.SurrogateInfo(); info.Kernel != kernel.DefaultName {
+		t.Fatalf("default engine serves %q, want %q", info.Kernel, kernel.DefaultName)
+	}
 	var art bytes.Buffer
 	if err := ref.SaveSurrogate(&art); err != nil {
 		t.Fatal(err)
@@ -103,11 +105,13 @@ func TestInferenceKernelSelection(t *testing.T) {
 	rows := probeRows(300)
 	outs := make([][]float64, len(names))
 	for i, name := range names {
-		eng, err := Open(crimeGrid(5000, 31), Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-			WithInferenceKernel(name))
+		eng, err := Open(crimeGrid(5000, 31), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The backend is engine-internal; only tests set it directly.
+		b, _ := kernel.Lookup(name)
+		eng.kernel = b
 		if err := eng.LoadSurrogate(bytes.NewReader(art.Bytes())); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +126,7 @@ func TestInferenceKernelSelection(t *testing.T) {
 	}
 	for i := 1; i < len(outs); i++ {
 		for j := range rows {
-			if outs[i][j] != outs[0][j] {
+			if math.Float64bits(outs[i][j]) != math.Float64bits(outs[0][j]) {
 				t.Fatalf("kernels %s and %s diverge at row %d: %v != %v",
 					names[i], names[0], j, outs[i][j], outs[0][j])
 			}

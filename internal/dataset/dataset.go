@@ -149,9 +149,8 @@ func (d *Dataset) Sample(stride, offset int) *Dataset {
 }
 
 // Slice returns a dataset view of rows [lo, hi). The view shares the
-// receiver's column storage — no rows are copied — so a large dataset
-// can be split into row-range shards at negligible memory cost. Both
-// dataset and view are immutable, making the aliasing safe.
+// receiver's column storage — no rows are copied. Both dataset and
+// view are immutable, making the aliasing safe.
 func (d *Dataset) Slice(lo, hi int) (*Dataset, error) {
 	if lo < 0 || hi < lo || hi > d.n {
 		return nil, fmt.Errorf("dataset: slice [%d, %d) of %d rows", lo, hi, d.n)

@@ -39,8 +39,8 @@ func (m *Model) Ensemble() kernel.Ensemble {
 	return e
 }
 
-// Compile builds an inference snapshot with the process-default
-// backend (SURF_KERNEL, or the binned fast path). The result is
+// Compile builds an inference snapshot with the default backend (the
+// binned fast path, or its scalar fallback). The result is
 // immutable, safe for concurrent use, and predicts bit-for-bit what
 // Model.Predict1 returns.
 func (m *Model) Compile() kernel.Model {

@@ -30,7 +30,6 @@ package kernel
 
 import (
 	"fmt"
-	"os"
 	"sort"
 )
 
@@ -69,13 +68,10 @@ type Backend interface {
 	Compile(e Ensemble) (Model, error)
 }
 
-// DefaultName is the backend used when neither WithInferenceKernel
-// nor the SURF_KERNEL environment variable selects one.
+// DefaultName is the backend every engine compiles with. Scalar
+// serves only as the automatic fallback for ensembles binned cannot
+// represent and as the reference the parity tests compare against.
 const DefaultName = "binned"
-
-// EnvVar is the environment variable naming the process-default
-// backend.
-const EnvVar = "SURF_KERNEL"
 
 var backends = map[string]Backend{}
 
@@ -105,14 +101,8 @@ func Names() []string {
 	return names
 }
 
-// Default resolves the process-default backend: SURF_KERNEL if it
-// names a registered backend, DefaultName otherwise.
+// Default returns the DefaultName backend.
 func Default() Backend {
-	if name := os.Getenv(EnvVar); name != "" {
-		if b, ok := Lookup(name); ok {
-			return b
-		}
-	}
 	b, ok := Lookup(DefaultName)
 	if !ok {
 		panic("kernel: default backend not registered")

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRegistry: both built-in backends register, Names is sorted, and
-// Default honours SURF_KERNEL only when it names a real backend.
+// Default resolves DefaultName.
 func TestRegistry(t *testing.T) {
 	names := Names()
 	if len(names) != 2 || names[0] != BinnedName || names[1] != ScalarName {
@@ -24,19 +24,8 @@ func TestRegistry(t *testing.T) {
 	if _, ok := Lookup("simd9000"); ok {
 		t.Fatal("Lookup accepted an unregistered backend")
 	}
-
-	t.Setenv(EnvVar, "")
 	if got := Default().Name(); got != DefaultName {
-		t.Fatalf("Default() with empty env = %s, want %s", got, DefaultName)
-	}
-	t.Setenv(EnvVar, ScalarName)
-	if got := Default().Name(); got != ScalarName {
-		t.Fatalf("Default() with %s=%s resolved %s", EnvVar, ScalarName, got)
-	}
-	// An unknown env value must not break startup — fall back silently.
-	t.Setenv(EnvVar, "simd9000")
-	if got := Default().Name(); got != DefaultName {
-		t.Fatalf("Default() with bogus env = %s, want %s", got, DefaultName)
+		t.Fatalf("Default() = %s, want %s", got, DefaultName)
 	}
 }
 

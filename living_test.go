@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -236,8 +237,8 @@ func TestSetDatasetCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestSetDatasetValidation: schema mismatches, bad options and bad
-// domains are rejected before anything swaps.
+// TestSetDatasetValidation: nil datasets and schema mismatches are
+// rejected before anything swaps.
 func TestSetDatasetValidation(t *testing.T) {
 	eng, err := Open(crimeGrid(100, 4), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
 	if err != nil {
@@ -253,25 +254,50 @@ func TestSetDatasetValidation(t *testing.T) {
 	if err := eng.SetDataset(other, 2); err == nil {
 		t.Fatal("mismatched schema accepted")
 	}
-	ds := crimeGrid(100, 4)
-	if err := eng.SetDataset(ds, 2, WithResultCache(5)); err == nil {
-		t.Fatal("non-domain option accepted")
-	}
-	if err := eng.SetDataset(ds, 2, WithDomain([]float64{0}, []float64{1})); err == nil {
-		t.Fatal("short domain accepted")
-	}
-	if err := eng.SetDataset(ds, 2, WithDomain([]float64{0, 1}, []float64{1, 0})); err == nil {
-		t.Fatal("inverted domain accepted")
-	}
 	if v := eng.DataVersion(); v != 1 {
 		t.Fatalf("failed swaps moved the data version to %d", v)
 	}
-	if err := eng.SetDataset(ds, 2, WithDomain([]float64{0, 0}, []float64{1, 1})); err != nil {
+	if err := eng.SetDataset(crimeGrid(100, 4), 2); err != nil {
 		t.Fatal(err)
 	}
 	if v := eng.DataVersion(); v != 2 {
 		t.Fatalf("data version %d after swap, want 2", v)
 	}
+}
+
+// TestSetDatasetDomain: an engine opened with WithDomain keeps its box
+// across SetDataset even when the new rows fall outside it, while an
+// engine opened without it re-derives the domain from the new rows.
+func TestSetDatasetDomain(t *testing.T) {
+	wide, err := NewDataset([]string{"x", "y"}, [][]float64{{-2, 0.5, 5}, {-1, 0.5, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{FilterColumns: []string{"x", "y"}, Statistic: Count}
+	check := func(t *testing.T, eng *Engine, wantMin, wantMax []float64) {
+		t.Helper()
+		if err := eng.SetDataset(wide, 2); err != nil {
+			t.Fatal(err)
+		}
+		min, max := eng.Domain()
+		if !slices.Equal(min, wantMin) || !slices.Equal(max, wantMax) {
+			t.Fatalf("domain after swap = %v..%v, want %v..%v", min, max, wantMin, wantMax)
+		}
+	}
+	t.Run("fixed", func(t *testing.T) {
+		eng, err := Open(crimeGrid(100, 4), cfg, WithDomain([]float64{0, 0}, []float64{1, 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, eng, []float64{0, 0}, []float64{1, 1})
+	})
+	t.Run("derived", func(t *testing.T) {
+		eng, err := Open(crimeGrid(100, 4), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, eng, []float64{-2, -1}, []float64{5, 3})
+	})
 }
 
 // TestConcurrentQueriesDuringAppends is the liveness acceptance test:

@@ -1,8 +1,8 @@
 // Package registry is the multi-dataset catalog behind a surf serving
 // process: a concurrency-safe mapping from dataset names to versioned
 // engine entries, each described by a Spec (dataset CSV, region spec,
-// surrogate artifact or startup-training budget, shard count) and
-// materialized lazily on first request.
+// surrogate artifact or startup-training budget) and materialized
+// lazily on first request.
 //
 // # Lifecycle
 //
@@ -28,25 +28,4 @@
 // and none is dropped. Fields left zero in a Register spec inherit
 // from the replaced spec, so a PUT carrying only a new artifact path
 // swaps the model of an existing dataset.
-//
-// # Sharded execution
-//
-// A spec with Shards = N > 1 splits the dataset into N contiguous
-// row-range shards (views sharing the parent's column storage) and
-// opens one engine per shard, every shard carrying the same surrogate
-// and the full dataset's domain. Handle.Find then fans the query out:
-// each shard mines with the identical query (same seed, verification
-// deferred), the per-shard region lists are concatenated, ranked by
-// score and merged through the engine's greedy IoU clustering
-// (surf.MergeRegions), and the merged regions are verified against the
-// full dataset — so TrueValue, Satisfies and ComplianceRate mean
-// exactly what they mean for an unsharded engine. For surrogate-backed
-// queries every shard optimizes the same model over the same domain,
-// making the merged result differentially identical to the unsharded
-// engine's; for use_true_function queries each shard optimizes its own
-// rows at 1/N the per-evaluation cost and the merge reconciles the
-// shard-local optima. Top-k fans out the same way with the merged
-// candidates ranked by estimate. Merged results are cached per entry
-// version (keyed by surf's canonical query fingerprint) and the cache
-// dies with the engine set on every swap.
 package registry

@@ -27,9 +27,9 @@ var (
 )
 
 // Spec describes one registry entry: where the data lives, what the
-// engine computes over it, where its surrogate comes from, and how
-// execution is sharded. Its JSON form is the PUT /v1/models/{name}
-// request body and the surf-serve config-file entry.
+// engine computes over it, and where its surrogate comes from. Its
+// JSON form is the PUT /v1/models/{name} request body and the
+// surf-serve config-file entry.
 type Spec struct {
 	// Data is the dataset CSV path.
 	Data string `json:"data"`
@@ -47,15 +47,6 @@ type Spec struct {
 	// entry reports the "training" state while it runs.
 	Train     int    `json:"train,omitempty"`
 	TrainSeed uint64 `json:"train_seed,omitempty"`
-	// Shards splits execution across this many contiguous row-range
-	// shards (0 or 1 = unsharded).
-	Shards int `json:"shards,omitempty"`
-	// Kernel names the inference backend serving the entry's surrogate
-	// predictions — one of surf.InferenceKernels(); empty defers to the
-	// SURF_KERNEL environment variable, then the built-in default.
-	// Every backend predicts bit-identically, so this is purely an
-	// execution knob and never changes query results.
-	Kernel string `json:"kernel,omitempty"`
 	// UseGridIndex builds grid indexes for true-function evaluation.
 	UseGridIndex bool `json:"use_grid_index,omitempty"`
 	// DriftThreshold enables drift-triggered background retraining:
@@ -102,11 +93,8 @@ func (s Spec) merge(prev Spec) Spec {
 	if s.TargetColumn == "" {
 		s.TargetColumn = prev.TargetColumn
 	}
-	if s.Shards == 0 {
-		s.Shards = prev.Shards
-	}
-	if s.Kernel == "" {
-		s.Kernel = prev.Kernel
+	if !s.UseGridIndex {
+		s.UseGridIndex = prev.UseGridIndex
 	}
 	if s.DriftThreshold == 0 {
 		s.DriftThreshold = prev.DriftThreshold
@@ -139,8 +127,6 @@ func (s Spec) validate() error {
 		return fmt.Errorf("%w: no dataset path", ErrBadSpec)
 	case len(s.FilterColumns) == 0:
 		return fmt.Errorf("%w: no filter columns", ErrBadSpec)
-	case s.Shards < 0:
-		return fmt.Errorf("%w: %d shards", ErrBadSpec, s.Shards)
 	case s.Train < 0:
 		return fmt.Errorf("%w: train %d queries", ErrBadSpec, s.Train)
 	case s.Artifact != "" && s.Train > 0:
@@ -160,19 +146,6 @@ func (s Spec) validate() error {
 	}
 	if _, err := surf.ParseStatistic(s.Statistic); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	if s.Kernel != "" {
-		known := false
-		for _, k := range surf.InferenceKernels() {
-			if k == s.Kernel {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("%w: unknown inference kernel %q (have %v)",
-				ErrBadSpec, s.Kernel, surf.InferenceKernels())
-		}
 	}
 	if _, err := os.Stat(s.Data); err != nil {
 		return fmt.Errorf("%w: dataset: %v", ErrBadSpec, err)
@@ -551,9 +524,8 @@ type ModelStatus struct {
 	// LoadSeconds is the wall time of the last completed load,
 	// including any startup training (0 if never loaded).
 	LoadSeconds float64
-	// Cache reports the entry's result cache: the merged-result cache
-	// for sharded entries, the engine's own cache otherwise. Zero
-	// unless ready.
+	// Cache reports the entry engine's result cache. Zero unless
+	// ready.
 	Cache surf.CacheStats
 	// DataVersion is the dataset version the entry serves: 1 for the
 	// CSV as loaded, incremented by every append (0 unless ready).
@@ -607,11 +579,7 @@ func (r *Registry) List() []ModelStatus {
 			if info, ok := e.set.engine.SurrogateInfo(); ok {
 				st.Info = &info
 			}
-			if len(e.set.shards) > 0 {
-				st.Cache = e.set.merged.stats()
-			} else {
-				st.Cache = e.set.engine.CacheStats()
-			}
+			st.Cache = e.set.engine.CacheStats()
 			st.DataVersion = e.set.engine.DataVersion()
 			if e.set.drift != nil {
 				st.Drift = e.set.drift.status()

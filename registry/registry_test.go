@@ -130,7 +130,6 @@ func TestRegisterValidation(t *testing.T) {
 		{"bad statistic", "d", Spec{Data: fx.csv, FilterColumns: []string{"x"}, Statistic: "nope"}},
 		{"missing data file", "d", Spec{Data: fx.csv + ".gone", FilterColumns: []string{"x"}, Statistic: "count"}},
 		{"artifact and train", "d", Spec{Data: fx.csv, FilterColumns: []string{"x"}, Statistic: "count", Artifact: fx.artifactA, Train: 10}},
-		{"negative shards", "d", Spec{Data: fx.csv, FilterColumns: []string{"x"}, Statistic: "count", Shards: -1}},
 	}
 	for _, c := range cases {
 		if _, err := r.Register(c.key, c.spec); !errors.Is(err, ErrBadSpec) {
@@ -208,8 +207,8 @@ func TestLazyLoadAndStates(t *testing.T) {
 	if st.Info == nil || st.Info.Trees != 5 {
 		t.Fatalf("surrogate info = %+v", st.Info)
 	}
-	if h.Version() != 1 || h.Sharded() {
-		t.Fatalf("handle version %d sharded %v", h.Version(), h.Sharded())
+	if h.Version() != 1 {
+		t.Fatalf("handle version %d", h.Version())
 	}
 }
 
@@ -230,6 +229,19 @@ func TestSpecInheritanceOnSwap(t *testing.T) {
 	st, _ := r.Status("d")
 	if st.Spec.Data != fx.csv || st.Spec.Statistic != "count" || st.Spec.Artifact != fx.artifactB {
 		t.Fatalf("merged spec = %+v", st.Spec)
+	}
+	// Boolean fields inherit like the rest: a grid-indexed entry keeps
+	// its grid index across an artifact-only swap.
+	grid := fx.spec(fx.artifactA)
+	grid.UseGridIndex = true
+	if _, err := r.Register("d", grid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Register("d", Spec{Artifact: fx.artifactB}); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ = r.Status("d"); !st.Spec.UseGridIndex {
+		t.Fatalf("use_grid_index lost on swap: %+v", st.Spec)
 	}
 	// Switching to startup training drops the inherited artifact.
 	if _, err := r.Register("d", Spec{Train: 50}); err != nil {
@@ -545,14 +557,12 @@ func TestWarmTriggersLoad(t *testing.T) {
 	}
 }
 
-// TestStatusCacheStats: a ready entry's status reports its result
-// cache; sharded entries report the merged-result cache.
+// TestStatusCacheStats: a ready entry's status reports its engine's
+// result cache at the engine's default capacity.
 func TestStatusCacheStats(t *testing.T) {
 	fx := newFixture(t, 300)
 	r := New(0)
-	spec := fx.spec(fx.artifactA)
-	spec.Shards = 2
-	if _, err := r.Register("d", spec); err != nil {
+	if _, err := r.Register("d", fx.spec(fx.artifactA)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -569,9 +579,17 @@ func TestStatusCacheStats(t *testing.T) {
 	}
 	st, _ := r.Status("d")
 	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Entries != 1 {
-		t.Fatalf("sharded cache stats = %+v, want 1 hit / 1 miss / 1 entry", st.Cache)
+		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss / 1 entry", st.Cache)
 	}
-	if st.Cache.Capacity != mergedCacheSize {
-		t.Fatalf("sharded cache capacity = %d, want %d", st.Cache.Capacity, mergedCacheSize)
+	ds, err := surf.NewDataset([]string{"x"}, [][]float64{{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := surf.Open(ds, surf.Config{FilterColumns: []string{"x"}, Statistic: surf.Count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := plain.CacheStats().Capacity; st.Cache.Capacity != want {
+		t.Fatalf("cache capacity = %d, want the engine default %d", st.Cache.Capacity, want)
 	}
 }

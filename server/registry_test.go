@@ -10,13 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	surf "surf"
+	"surf/internal/gbt/kernel"
 	"surf/registry"
 )
 
@@ -277,8 +277,8 @@ func TestModelsCRUD(t *testing.T) {
 		t.Fatalf("beta surrogate info: %+v", m.SurrogateInfo)
 	}
 	// The serving inference backend is part of the model's status.
-	if !slices.Contains(surf.InferenceKernels(), m.SurrogateInfo.Kernel) {
-		t.Fatalf("beta kernel %q not in %v", m.SurrogateInfo.Kernel, surf.InferenceKernels())
+	if m.SurrogateInfo.Kernel != kernel.DefaultName {
+		t.Fatalf("beta kernel %q, want %q", m.SurrogateInfo.Kernel, kernel.DefaultName)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/models/gamma")
@@ -336,6 +336,52 @@ func TestModelsCRUD(t *testing.T) {
 	wantStatus(t, resp, http.StatusNotFound, "unknown_dataset")
 	resp = doDelete(t, ts.URL+"/v1/models/gamma")
 	wantStatus(t, resp, http.StatusNotFound, "unknown_dataset")
+}
+
+// TestModelPutMalformedSpec: a spec body that does not decode —
+// broken JSON or an unknown field such as the removed "shards" and
+// "kernel" — answers 400 bad_spec naming the problem, an oversized one
+// still answers 413, and none of them touches the entry.
+func TestModelPutMalformedSpec(t *testing.T) {
+	fx := newRegistryFixture(t)
+	ts, _ := registryServer(t, fx)
+	put := func(body string) (int, errorDetail) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/alpha", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		decodeResponse(t, resp, &eb)
+		return resp.StatusCode, eb.Error
+	}
+	for _, c := range []struct{ body, mention string }{
+		{`{"shards": 2}`, `"shards"`},
+		{`{"kernel": "scalar"}`, `"kernel"`},
+		{`{"data": `, "body"},
+	} {
+		status, e := put(c.body)
+		if status != http.StatusBadRequest || e.Code != "bad_spec" || !strings.Contains(e.Message, c.mention) {
+			t.Fatalf("PUT %s: status %d error %+v, want 400 bad_spec mentioning %s", c.body, status, e, c.mention)
+		}
+	}
+	big := `{"data": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	if status, e := put(big); status != http.StatusRequestEntityTooLarge || e.Code != "body_too_large" {
+		t.Fatalf("oversized spec: status %d error %+v, want 413 body_too_large", status, e)
+	}
+	resp, err := http.Get(ts.URL + "/v1/models/alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m modelBody
+	decodeResponse(t, resp, &m)
+	if m.Version != 1 {
+		t.Fatalf("alpha version %d after rejected PUTs, want 1", m.Version)
+	}
 }
 
 // TestRegistryHealthz checks the per-dataset readiness report.
