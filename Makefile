@@ -49,7 +49,8 @@ vulncheck:
 
 # fuzz-smoke mirrors the CI randomized pass over the CSV readers, the
 # evaluator parity differential, the inference-kernel parity
-# differential and the living-store append parity differential;
+# differential, the living-store append parity differential and the
+# swarm parity differential (the optimized GSO loop vs its reference);
 # crashers minimize into testdata/fuzz corpus files, which are
 # checked in.
 fuzz-smoke:
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzEvaluatorParity' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 10s ./internal/gbt/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendParity' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz 'FuzzSwarmParity' -fuzztime 10s ./internal/gso
 
 clean:
 	rm -rf bin

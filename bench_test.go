@@ -161,6 +161,38 @@ func BenchmarkGSORun(b *testing.B) {
 	}
 }
 
+// BenchmarkGSORunMine3D is BenchmarkGSORun in the shape of a 3-D
+// mining query: L=300, T=100 over the 6-D unit solution space (3
+// centre and 3 half-side coordinates), with InvalidWalk 1 as Find
+// sets it. The objective is undefined for oversized regions, so a
+// share of the swarm walks. evals/op counts objective calls per run,
+// which the optimizer spends only on worms that moved.
+func BenchmarkGSORunMine3D(b *testing.B) {
+	obj := gso.ObjectiveFunc(func(pos []float64) (float64, bool) {
+		var s, side float64
+		for j := 0; j < 3; j++ {
+			s -= (pos[j] - 0.3) * (pos[j] - 0.3)
+			side += pos[3+j]
+		}
+		if side > 1.2 {
+			return 0, false
+		}
+		return s, true
+	})
+	p := gso.DefaultParams()
+	p.Glowworms = 300
+	var evals int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := gso.Run(p, geom.Unit(6), obj, gso.Options{InvalidWalk: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += res.Evaluations
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+}
+
 // BenchmarkKDEBoxMass measures one Eq. 8 box-mass computation over a
 // 500-point KDE sample.
 func BenchmarkKDEBoxMass(b *testing.B) {

@@ -30,7 +30,8 @@
 //   - Every long-running entry point has a context-accepting form
 //     (FindContext, FindTopKContext, TrainSurrogateContext,
 //     GenerateWorkloadContext). Cancellation is plumbed into the
-//     optimizer (honored within one swarm iteration) and into
+//     optimizer (honored within one swarm iteration, checked every
+//     64 glowworms of the neighbour scan) and into
 //     surrogate training (honored within one boosting round, on the
 //     plain fit and inside every hyper-tuning fold alike); the
 //     context-free names are thin context.Background() wrappers.
@@ -136,6 +137,17 @@
 // the engine's current surrogate snapshot untouched; incremental
 // training behaves the same way, committing its extra trees
 // all-or-nothing.
+//
+// # Query performance
+//
+// A Find's cost is its GSO loop: surrogate predictions for the
+// swarm, then an O(L²·d) scan for brighter neighbours. Objectives and
+// KDE selection weights are pure functions of position, so each
+// iteration re-scores and re-weights only the glowworms that moved
+// (L + Σ Moved predictions per run instead of L·T), and the
+// neighbour scan rejects a pair as soon as its squared-distance
+// partial sum provably exceeds the squared radius. Both leave every
+// swarm bit-identical to the plain loop.
 //
 // # Inference backends
 //

@@ -263,6 +263,32 @@ func TestGridIndexDisjointRegion(t *testing.T) {
 	}
 }
 
+// TestGridEvaluateAllocs: GridIndex.Evaluate allocates a small,
+// fixed number of scratch slices per call, however many cells the
+// region touches — the interior test compares against the boundary
+// array in place instead of building each cell's rect.
+func TestGridEvaluateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := randomDataset(rng, 5000, 2)
+	for _, kind := range []stats.Kind{stats.Count, stats.Mean} {
+		grid, err := NewGridIndex(d, Spec{FilterCols: []int{0, 1}, Stat: kind, TargetCol: 2}, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts []float64
+		for _, half := range []float64{0.01, 0.1, 0.45} {
+			region := geom.FromCenter([]float64{0.5, 0.5}, []float64{half, half})
+			counts = append(counts, testing.AllocsPerRun(50, func() { grid.Evaluate(region) }))
+		}
+		for _, c := range counts {
+			if c != counts[0] || c > 4 {
+				t.Errorf("%v: allocs per Evaluate = %v over regions of 4, 64 and ~900 cells; want one constant <= 4", kind, counts)
+				break
+			}
+		}
+	}
+}
+
 func TestGridResolutionCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := randomDataset(rng, 50, 5)

@@ -140,7 +140,7 @@ func (g *GridIndex) Resolution() int { return g.res }
 // cellOf maps a coordinate to its cell: the c with bounds[c] ≤ v <
 // bounds[c+1], clamped to [0, res). The division only provides a
 // starting hint; the fixup walk makes the result exactly consistent
-// with the boundary array (and therefore with cellRect), which float
+// with the boundary array (and therefore with cellInside), which float
 // rounding of min + c·width alone cannot guarantee.
 func (g *GridIndex) cellOf(v float64, dim int) int {
 	c := int((v - g.domain.Min[dim]) / g.width[dim])
@@ -168,20 +168,19 @@ func (g *GridIndex) cellID(coord []int) int {
 	return id
 }
 
-// cellRect returns the spatial extent of the cell at coord, read from
-// the same boundary array cellOf assigns rows with: every row mapped
-// into the cell lies inside the returned rect, so a region that
+// cellInside reports whether the cell at coord lies inside region
+// (region.ContainsRect of the cell's extent), comparing in place
+// against the same boundary array cellOf assigns rows with: every row
+// mapped into the cell lies inside that extent, so a region that
 // contains it may take the pre-merged interior fast path without
 // disagreeing with a per-row test.
-func (g *GridIndex) cellRect(coord []int) geom.Rect {
-	dims := len(coord)
-	min := make([]float64, dims)
-	max := make([]float64, dims)
+func (g *GridIndex) cellInside(region geom.Rect, coord []int) bool {
 	for j, c := range coord {
-		min[j] = g.bounds[j][c]
-		max[j] = g.bounds[j][c+1]
+		if g.bounds[j][c] < region.Min[j] || g.bounds[j][c+1] > region.Max[j] {
+			return false
+		}
 	}
-	return geom.Rect{Min: min, Max: max}
+	return true
 }
 
 // Evaluate computes f over the region using the grid.
@@ -236,7 +235,7 @@ func (g *GridIndex) Evaluate(region geom.Rect) (float64, int) {
 	for {
 		id := g.cellID(coord)
 		if g.count[id] > 0 {
-			interior := region.ContainsRect(g.cellRect(coord))
+			interior := g.cellInside(region, coord)
 			if interior && decomposable {
 				mCount += int(g.count[id])
 				mNonzero += int(g.nonzero[id])
@@ -326,7 +325,7 @@ func (g *GridIndex) evaluateCustom(region geom.Rect, lo, hi []int, fn stats.RowF
 	for {
 		id := g.cellID(coord)
 		if g.count[id] > 0 {
-			interior := region.ContainsRect(g.cellRect(coord))
+			interior := g.cellInside(region, coord)
 		cellRows:
 			for _, ri := range g.rows[id] {
 				i := int(ri)

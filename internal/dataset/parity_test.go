@@ -59,7 +59,7 @@ func TestGridBoundaryCellParity(t *testing.T) {
 				}
 				// Regions ending at every cell boundary, at the domain
 				// maximum, and one ulp below it.
-				maxes := append([]float64{0.7, below}, cellBoundaries(g, 0)...)
+				maxes := append([]float64{0.7, below}, g.bounds[0]...)
 				for _, hi := range maxes {
 					region := geom.Rect{Min: []float64{0.05}, Max: []float64{hi}}
 					assertSameEval(t, ls, g, region)
@@ -220,29 +220,11 @@ func randomParityRegion(rng *rand.Rand, g *GridIndex) geom.Rect {
 	return geom.Rect{Min: min, Max: max}
 }
 
-// cellBoundaries reports the grid's cell boundary positions along one
-// dimension, read through cellRect so the probe works on any index
-// implementation (it deliberately avoids the internal boundary array,
-// which older GridIndex versions did not have).
-func cellBoundaries(g *GridIndex, dim int) []float64 {
-	coord := make([]int, g.Dims())
-	out := make([]float64, 0, g.Resolution()+1)
-	for c := 0; c < g.Resolution(); c++ {
-		coord[dim] = c
-		r := g.cellRect(coord)
-		out = append(out, r.Min[dim])
-		if c == g.Resolution()-1 {
-			out = append(out, r.Max[dim])
-		}
-	}
-	return out
-}
-
 // parityBound picks one region bound: a cell boundary, a boundary
 // nudged one ulp, a domain edge, or a uniform draw slightly past the
 // domain.
 func parityBound(rng *rand.Rand, g *GridIndex, dim int) float64 {
-	b := cellBoundaries(g, dim)
+	b := g.bounds[dim]
 	lo, hi := g.domain.Min[dim], g.domain.Max[dim]
 	switch rng.IntN(6) {
 	case 0:

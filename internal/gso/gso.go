@@ -1,3 +1,5 @@
+//surf:deterministic (swarms are bit-identical for a seed, whatever Workers)
+
 // Package gso implements Glowworm Swarm Optimization (Krishnanand &
 // Ghose, Swarm Intelligence 2009), the evolutionary multimodal
 // optimizer SuRF uses to locate many interesting regions at once
@@ -29,6 +31,22 @@
 //  2. Neighbour selection probabilities can be re-weighted by an
 //     arbitrary positive weight (SuRF passes the KDE box mass of the
 //     candidate region, paper Eq. 8).
+//
+// # Cost
+//
+// An iteration does only the work its result depends on, and the
+// swarm stays bit-identical to the straightforward loop (a reference
+// copy in the tests pins this for every seed and setting):
+//
+//   - Objectives and weights are pure functions of position, so only
+//     worms that moved in the previous iteration are re-scored and
+//     re-weighted; a worm with no brighter neighbour, or whose chosen
+//     neighbour sits on it, keeps its fitness and weight. A run makes
+//     L + Σ Moved objective calls rather than L·T.
+//   - The O(L²·n) neighbour scan compares squared-distance partial
+//     sums against the squared radius and stops a pair as soon as it
+//     is provably out of range; only sums within a few ulps of r²
+//     take the square root.
 package gso
 
 import (
@@ -44,7 +62,9 @@ import (
 
 // Objective is a fitness function over positions in R^n. ok=false
 // marks the position as outside the objective's domain (e.g. the log
-// objective's argument was non-positive).
+// objective's argument was non-positive). It must be a pure function
+// of the position: the optimizer scores a worm again only after it
+// moves and reuses the last result otherwise.
 type Objective interface {
 	Fitness(pos []float64) (value float64, ok bool)
 }
@@ -73,16 +93,20 @@ type BatchObjective interface {
 }
 
 // BatchEvaluator evaluates one shard of positions, writing fitness[i],
-// valid[i] for pos[i]. Implementations may keep internal scratch and
-// therefore must not be shared across goroutines; distinct evaluators
-// must be safe to run concurrently.
+// valid[i] for pos[i]. Each iteration's batch holds only the worms
+// that moved, so its size varies; like Objective, results must depend
+// on each position alone. Implementations may keep internal scratch
+// and therefore must not be shared across goroutines; distinct
+// evaluators must be safe to run concurrently.
 type BatchEvaluator interface {
 	EvaluateBatch(pos [][]float64, fitness []float64, valid []bool)
 }
 
 // SelectionWeight optionally re-weights the probability of selecting a
 // neighbour at the given position (paper Eq. 8). Must return a
-// non-negative value; nil disables re-weighting.
+// non-negative value; nil disables re-weighting. It must be a pure
+// function of the position: it is computed again only for worms that
+// moved.
 type SelectionWeight func(pos []float64) float64
 
 // Params configure a GSO run. Zero value is invalid; start from
@@ -117,9 +141,11 @@ type Params struct {
 	ConvergeWindow int
 	// ConvergeEps is the plateau threshold for early stopping.
 	ConvergeEps float64
-	// Workers evaluates the objective for the swarm with this many
-	// goroutines per iteration (0 or 1 = sequential). Results are
-	// identical to the sequential run — only the fitness evaluations
+	// Workers evaluates the objective with this many goroutines per
+	// iteration (0 or 1 = sequential; swarms smaller than 2·Workers
+	// also run sequentially). Each iteration the worms that moved
+	// are split into Workers contiguous shards. Results are identical
+	// to the sequential run — only the fitness evaluations
 	// parallelize; the movement phase keeps its deterministic RNG
 	// stream. The objective must be safe for concurrent calls (the
 	// boosted-tree surrogate is). Objectives implementing
@@ -202,7 +228,9 @@ type Result struct {
 	Luciferin []float64
 	// Iterations actually executed (≤ MaxIters with early stopping).
 	Iterations int
-	// Evaluations counts objective calls.
+	// Evaluations counts objective calls: every worm once up front,
+	// then each worm that moved in an iteration before the last, so
+	// L + Σ Trace[t].Moved for t < Iterations−1.
 	Evaluations int
 	// Trace is per-iteration telemetry.
 	Trace []IterStats
@@ -259,9 +287,17 @@ func Run(p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, erro
 	return RunContext(context.Background(), p, bounds, obj, opts)
 }
 
-// RunContext is Run with cancellation: the context is checked once per
-// swarm iteration, so a cancelled run returns ctx.Err() within one
-// iteration's worth of objective evaluations.
+// cancelEvery is how many glowworms the movement phase handles between
+// context checks.
+const cancelEvery = 64
+
+// RunContext is Run with cancellation: the context is checked at the
+// top of every swarm iteration and every cancelEvery glowworms of the
+// movement phase, so a cancelled run returns ctx.Err() within one
+// iteration's objective evaluations plus cancelEvery neighbour scans
+// (O(cancelEvery·L·n) work), even for very large swarms. A cancelled
+// run returns no partial result and does not invoke the Observer
+// again.
 func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -343,15 +379,63 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 	}
 	eval := newSwarmEvaluator(obj, p.Workers, L)
 
+	// dirty marks worms whose position changed since their last
+	// evaluation. Objectives and weights are pure functions of
+	// position, so a clean worm keeps its fitness, validity and
+	// selection weight. batch holds row pointers to the dirty
+	// positions (no coordinate copies); batchFit and batchValid
+	// receive their results before the scatter.
+	dirty := make([]bool, L)
+	for i := range dirty {
+		dirty[i] = true
+	}
+	batch := make([][]float64, 0, L)
+	batchFit := make([]float64, L)
+	batchValid := make([]bool, L)
+
+	// The early-exit neighbour test below is exact only while every
+	// coordinate is finite: then squared-distance partial sums never
+	// turn NaN and only grow. A non-finite coordinate (possible only
+	// from degenerate bounds, initial positions or a move that
+	// overflows) turns it off for the rest of the run.
+	allFinite := true
+	for _, q := range pos {
+		allFinite = allFinite && isFinite(q)
+	}
+
 	for t := 0; t < p.MaxIters; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Phase 1: fitness evaluation (optionally parallel) followed
-		// by the luciferin update. Invalid positions decay only,
-		// emulating the undefined log objective (paper Section V-F).
-		eval.run(pos, fitness, valid)
-		res.Evaluations += L
+		// Phase 1: evaluate the moved worms (optionally parallel) and
+		// refresh their selection weights, then update luciferin.
+		// Invalid positions decay only, emulating the undefined log
+		// objective (paper Section V-F). Selection weights (e.g. KDE
+		// box masses) are taken at the start-of-iteration positions —
+		// the synchronous-update reading of Eq. 8 — rather than per
+		// candidate pair.
+		batch = batch[:0]
+		for i, d := range dirty {
+			if d {
+				batch = append(batch, pos[i])
+			}
+		}
+		if len(batch) > 0 {
+			eval.run(batch, batchFit[:len(batch)], batchValid[:len(batch)])
+			res.Evaluations += len(batch)
+		}
+		b := 0
+		for i, d := range dirty {
+			if !d {
+				continue
+			}
+			fitness[i], valid[i] = batchFit[b], batchValid[b]
+			b++
+			if opts.Weight != nil {
+				wcache[i] = math.Max(0, opts.Weight(pos[i]))
+			}
+			dirty[i] = false
+		}
 		var sumFit float64
 		var nValid int
 		for i := 0; i < L; i++ {
@@ -365,25 +449,51 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 			}
 		}
 
-		// Phase 2: movement. Selection weights (e.g. KDE box masses)
-		// are evaluated once per particle per iteration against the
-		// start-of-phase positions — the synchronous-update reading
-		// of Eq. 8 — rather than per candidate pair.
-		if opts.Weight != nil {
-			for i := 0; i < L; i++ {
-				wcache[i] = math.Max(0, opts.Weight(pos[i]))
-			}
-		}
+		// Phase 2: movement.
 		moved := 0
 		for i := 0; i < L; i++ {
+			if i%cancelEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			neighbors = neighbors[:0]
 			weights = weights[:0]
 			var totalW float64
+			pi, r := pos[i], radius[i]
+			// j is a neighbour iff !(dist(pi, pos[j]) > r). For a
+			// normal r², squared-distance partial sums decide that
+			// exactly outside the band [lo, hi] = r²·(1 ∓ 2⁻⁴⁸): the
+			// band is far wider than the rounding of r², of the
+			// thresholds and of the square root, so a partial sum past
+			// hi proves the distance exceeds r and a full sum below lo
+			// proves it does not. Only a sum inside the band takes the
+			// square root. A zero radius (common once a dense cluster
+			// shrinks it) is exact too: lo = hi = 0, and only a zero
+			// sum is a neighbour. Any other radius whose square is not
+			// normal keeps the plain test.
+			r2 := r * r
+			fast := allFinite && (r == 0 || r2 >= 0x1p-1022 && r2 <= math.MaxFloat64)
+			hi, lo := r2*(1+0x1p-48), r2*(1-0x1p-48)
+		scan:
 			for j := 0; j < L; j++ {
 				if j == i || luc[j] <= luc[i] {
 					continue
 				}
-				if dist(pos[i], pos[j]) > radius[i] {
+				if fast {
+					pj := pos[j]
+					var s float64
+					for k := range pi {
+						d := pi[k] - pj[k]
+						s += d * d
+						if s > hi {
+							continue scan
+						}
+					}
+					if s >= lo && math.Sqrt(s) > r {
+						continue
+					}
+				} else if dist(pi, pos[j]) > r {
 					continue
 				}
 				w := luc[j] - luc[i]
@@ -398,14 +508,16 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 				totalW += w
 			}
 			// Adaptive radius uses the pre-move neighbourhood size.
-			radius[i] = math.Min(sensor, math.Max(0, radius[i]+p.Beta*(float64(p.DesiredNeighbors)-float64(len(neighbors)))))
+			radius[i] = math.Min(sensor, math.Max(0, r+p.Beta*(float64(p.DesiredNeighbors)-float64(len(neighbors)))))
 			if len(neighbors) == 0 || totalW <= 0 {
 				if opts.InvalidWalk > 0 && !valid[i] {
 					// Diffuse constraint-violating stragglers.
 					for j := 0; j < n; j++ {
 						delta := (rng.Float64()*2 - 1) * step * opts.InvalidWalk
-						pos[i][j] = clamp(pos[i][j]+delta, bounds.Min[j], bounds.Max[j])
+						pi[j] = clamp(pi[j]+delta, bounds.Min[j], bounds.Max[j])
 					}
+					dirty[i] = true
+					allFinite = allFinite && isFinite(pi)
 					moved++
 				}
 				continue
@@ -421,14 +533,16 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 					break
 				}
 			}
-			d := dist(pos[i], pos[sel])
+			d := dist(pi, pos[sel])
 			if d == 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				pos[i][j] += step * (pos[sel][j] - pos[i][j]) / d
-				pos[i][j] = clamp(pos[i][j], bounds.Min[j], bounds.Max[j])
+				pi[j] += step * (pos[sel][j] - pi[j]) / d
+				pi[j] = clamp(pi[j], bounds.Min[j], bounds.Max[j])
 			}
+			dirty[i] = true
+			allFinite = allFinite && isFinite(pi)
 			moved++
 		}
 
@@ -572,6 +686,15 @@ func dist(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
+}
+
+func isFinite(p []float64) bool {
+	for _, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -310,8 +310,15 @@ func TestTraceShape(t *testing.T) {
 	if len(res.Trace) != 25 || res.Iterations != 25 {
 		t.Fatalf("trace %d entries, iterations %d", len(res.Trace), res.Iterations)
 	}
-	if res.Evaluations != 25*p.Glowworms {
-		t.Errorf("evaluations = %d, want %d", res.Evaluations, 25*p.Glowworms)
+	// Every worm is scored once up front; afterwards only the worms
+	// that moved are re-scored, and the last iteration's moves are
+	// never scored.
+	want := p.Glowworms
+	for _, it := range res.Trace[:res.Iterations-1] {
+		want += it.Moved
+	}
+	if res.Evaluations != want {
+		t.Errorf("evaluations = %d, want %d (L + moves before the last iteration)", res.Evaluations, want)
 	}
 	// Mean fitness should improve from start to finish on a unimodal
 	// landscape.
