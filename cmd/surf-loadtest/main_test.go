@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand/v2"
 	"net/http/httptest"
 	"os"
@@ -13,11 +14,13 @@ import (
 	"time"
 
 	surf "surf"
+	"surf/registry"
 	"surf/server"
 )
 
-// testServer starts an in-process surf server with a trained
-// surrogate over a small clustered dataset.
+// testServer starts an in-process surf server over a small clustered
+// dataset: a one-entry registry, the default dataset, loading a
+// 20-tree surrogate artifact.
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(17, 3))
@@ -48,9 +51,35 @@ func testServer(t *testing.T) *httptest.Server {
 	if err := eng.TrainSurrogate(wl, surf.TrainOptions{Trees: 20}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(eng).Handler())
+	dir := t.TempDir()
+	spec := registry.Spec{
+		Data:          filepath.Join(dir, "test.csv"),
+		FilterColumns: []string{"x", "y"},
+		Statistic:     "count",
+		Artifact:      filepath.Join(dir, "test.surf"),
+	}
+	writeFile(t, spec.Data, d.WriteCSV)
+	writeFile(t, spec.Artifact, eng.SaveSurrogate)
+	reg := registry.New(0)
+	if _, err := reg.Register("test", spec); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.NewRegistry(reg, "test").Handler())
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(t *testing.T, path string, write func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := write(f); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // testOptions is a fast harness configuration against ts.

@@ -17,14 +17,20 @@
 //	           -model model.surf -addr :8080
 //	surf-serve -data data.csv -filters x,y -stat count -train 5000
 //
-// With -model, the engine loads a surf-train artifact (the artifact's
-// statistic and filter columns must match the flags). With -train N,
-// it generates an N-query workload and trains a surrogate at startup.
-// With neither, only use_true_function queries can be served; the
-// rest answer 409 until a model arrives.
+// The flags describe a one-entry registry: the entry is named after
+// the CSV's base name without its extension (data.csv serves as
+// "data"), and that name is the default dataset. With -model, the
+// entry loads a surf-train artifact (the artifact's statistic and
+// filter columns must match the flags). With -train N, it generates
+// an N-query workload (seeded by -seed) and trains a surrogate. With
+// neither, only use_true_function queries can be served; the rest
+// answer 409 until a model arrives. Unlike -registry entries, the
+// entry loads before the listener opens, so a bad artifact or a
+// failed training run fails the command and /readyz answers 200 from
+// the first request.
 //
 // With -registry config.json the process serves a whole catalog of
-// datasets instead of one: the config lists named model specs
+// datasets: the config lists named model specs
 // (dataset CSV, filter columns, statistic, artifact or startup
 // training budget), queries route by their
 // "dataset" field, and the /v1/models admin API registers, hot-swaps
@@ -44,7 +50,7 @@
 // with each model entry holding a registry Spec. Entries load lazily
 // on first use; -capacity and -default override the config.
 //
-// Registry entries are living datasets: POST /v1/datasets/{name}/append
+// Every entry is a living dataset: POST /v1/datasets/{name}/append
 // commits new rows and hot-swaps the grown data version into the
 // serving engine without dropping in-flight queries. A spec with
 // "drift_threshold" (plus optional "drift_reservoir",
@@ -66,10 +72,9 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
-	"time"
 
-	surf "surf"
 	"surf/internal/cli"
 	"surf/registry"
 	"surf/server"
@@ -85,7 +90,6 @@ func main() {
 	flag.IntVar(&o.train, "train", 0, "train a surrogate at startup from this many generated queries (0 = don't)")
 	flag.Uint64Var(&o.seed, "seed", 1, "seed for -train workload generation")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.IntVar(&o.cache, "cache", -1, "result cache entries (-1 = engine default, 0 = disable)")
 	flag.StringVar(&o.registryPath, "registry", "", "multi-dataset registry config JSON (exclusive with -data)")
 	flag.IntVar(&o.capacity, "capacity", 0, "override the registry config's loaded-entry capacity")
 	flag.StringVar(&o.defaultDataset, "default", "", "override the registry config's default dataset")
@@ -104,7 +108,6 @@ type serveOpts struct {
 	train                                      int
 	seed                                       uint64
 	addr                                       string
-	cache                                      int
 	registryPath, defaultDataset               string
 	capacity                                   int
 	logFormat                                  string
@@ -145,133 +148,33 @@ type modelConfig struct {
 	registry.Spec
 }
 
-// run builds the engine (or registry) and serves until ctx is
-// cancelled. onReady, when non-nil, receives the bound address once
-// the listener is up (tests use it to learn the port behind ":0").
+// run builds the registry — from the -registry config, or as one
+// entry from the dataset flags — and serves until ctx is cancelled.
+// onReady, when non-nil, receives the bound address once the listener
+// is up (tests use it to learn the port behind ":0").
 func run(ctx context.Context, o serveOpts, onReady func(addr string)) error {
-	if o.registryPath != "" {
-		return runRegistry(ctx, o, onReady)
-	}
-	if o.dataPath == "" || o.filters == "" {
-		return fmt.Errorf("-data and -filters are required")
-	}
 	srvOpts, err := serverOptions(o)
-	if err != nil {
-		return err
-	}
-	if o.modelPath != "" && o.train > 0 {
-		return fmt.Errorf("-model and -train are mutually exclusive")
-	}
-	statistic, err := surf.ParseStatistic(o.stat)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(o.dataPath)
-	if err != nil {
-		return err
-	}
-	ds, err := surf.ReadCSVDataset(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	var opts []surf.Option
-	if o.cache >= 0 {
-		opts = append(opts, surf.WithResultCache(o.cache))
-	}
-	eng, err := surf.Open(ds, surf.Config{
-		FilterColumns: strings.Split(o.filters, ","),
-		Statistic:     statistic,
-		TargetColumn:  o.target,
-		UseGridIndex:  true,
-	}, opts...)
-	if err != nil {
-		return err
-	}
-
-	switch {
-	case o.modelPath != "":
-		mf, err := os.Open(o.modelPath)
-		if err != nil {
-			return err
-		}
-		err = eng.LoadSurrogateContext(ctx, mf)
-		mf.Close()
-		if err != nil {
-			return err
-		}
-		if info, ok := eng.SurrogateInfo(); ok {
-			fmt.Printf("loaded surrogate: %s over %v (%d trees)\n",
-				info.Statistic, info.FilterColumns, info.Trees)
-		}
-	case o.train > 0:
-		start := time.Now()
-		wl, err := eng.GenerateWorkloadContext(ctx, o.train, o.seed)
-		if err != nil {
-			return err
-		}
-		if err := eng.TrainSurrogateContext(ctx, wl, surf.TrainOptions{Seed: o.seed}); err != nil {
-			return err
-		}
-		fmt.Printf("trained surrogate on %d generated queries in %s\n",
-			wl.Len(), time.Since(start).Round(time.Millisecond))
-	default:
-		fmt.Println("serving without a surrogate: only use_true_function queries will succeed")
-	}
-
-	l, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("listening on %s (%d rows, %d dims)\n", l.Addr(), ds.Len(), eng.Dims())
-	if onReady != nil {
-		onReady(l.Addr().String())
-	}
-	err = server.New(eng, srvOpts...).Serve(ctx, l)
-	if err == nil {
-		fmt.Println("shut down cleanly")
-	}
-	return err
-}
-
-// runRegistry serves a multi-dataset registry from the -registry
-// config. Every spec is validated at startup (missing files and
-// artifact/spec mismatches fail fast); engines load lazily on first
-// request.
-func runRegistry(ctx context.Context, o serveOpts, onReady func(addr string)) error {
-	if o.dataPath != "" || o.filters != "" || o.modelPath != "" || o.train > 0 {
-		return fmt.Errorf("-registry is exclusive with -data/-filters/-model/-train")
-	}
-	srvOpts, err := serverOptions(o)
-	if err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(o.registryPath)
 	if err != nil {
 		return err
 	}
 	var cfg registryConfig
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return fmt.Errorf("registry config %s: %v", o.registryPath, err)
+	if o.registryPath != "" {
+		cfg, err = readRegistryConfig(o)
+	} else {
+		cfg, err = flagConfig(o)
 	}
-	if len(cfg.Models) == 0 {
-		return fmt.Errorf("registry config %s: no models", o.registryPath)
-	}
-	if o.capacity > 0 {
-		cfg.Capacity = o.capacity
-	}
-	if o.defaultDataset != "" {
-		cfg.Default = o.defaultDataset
-	}
-	if cfg.Default == "" && len(cfg.Models) == 1 {
-		cfg.Default = cfg.Models[0].Name
+	if err != nil {
+		return err
 	}
 	reg := registry.New(cfg.Capacity)
 	for _, m := range cfg.Models {
 		if _, err := reg.Register(m.Name, m.Spec); err != nil {
 			return fmt.Errorf("model %q: %w", m.Name, err)
+		}
+	}
+	if o.registryPath == "" {
+		if err := loadEntry(ctx, reg, cfg.Default); err != nil {
+			return err
 		}
 	}
 	l, err := net.Listen("tcp", o.addr)
@@ -287,4 +190,78 @@ func runRegistry(ctx context.Context, o serveOpts, onReady func(addr string)) er
 		fmt.Println("shut down cleanly")
 	}
 	return err
+}
+
+// flagConfig is the one-entry registry the dataset flags describe,
+// named after the CSV's base name without its extension.
+func flagConfig(o serveOpts) (registryConfig, error) {
+	if o.dataPath == "" || o.filters == "" {
+		return registryConfig{}, fmt.Errorf("-data and -filters are required")
+	}
+	base := filepath.Base(o.dataPath)
+	name := strings.TrimSuffix(base, filepath.Ext(base))
+	return registryConfig{
+		Default: name,
+		Models: []modelConfig{{Name: name, Spec: registry.Spec{
+			Data:          o.dataPath,
+			FilterColumns: strings.Split(o.filters, ","),
+			Statistic:     o.stat,
+			TargetColumn:  o.target,
+			Artifact:      o.modelPath,
+			Train:         o.train,
+			TrainSeed:     o.seed,
+			UseGridIndex:  true,
+		}}},
+	}, nil
+}
+
+// loadEntry loads the named entry now rather than on first use, so a
+// load failure fails the command before the listener opens.
+func loadEntry(ctx context.Context, reg *registry.Registry, name string) error {
+	h, err := reg.Acquire(ctx, name)
+	if err != nil {
+		return err
+	}
+	defer h.Release()
+	eng := h.Engine()
+	if info, ok := eng.SurrogateInfo(); ok {
+		fmt.Printf("surrogate: %s over %v (%d trees)\n", info.Statistic, info.FilterColumns, info.Trees)
+	} else {
+		fmt.Println("serving without a surrogate: only use_true_function queries will succeed")
+	}
+	fmt.Printf("loaded %q (%d rows, %d dims)\n", name, eng.Rows(), eng.Dims())
+	return nil
+}
+
+// readRegistryConfig reads the -registry config and applies the
+// -capacity and -default overrides. Every spec is validated when run
+// registers it (missing files and artifact/spec mismatches fail fast);
+// engines load lazily on first request.
+func readRegistryConfig(o serveOpts) (registryConfig, error) {
+	var cfg registryConfig
+	if o.dataPath != "" || o.filters != "" || o.modelPath != "" || o.train > 0 {
+		return cfg, fmt.Errorf("-registry is exclusive with -data/-filters/-model/-train")
+	}
+	raw, err := os.ReadFile(o.registryPath)
+	if err != nil {
+		return cfg, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("registry config %s: %v", o.registryPath, err)
+	}
+	if len(cfg.Models) == 0 {
+		return cfg, fmt.Errorf("registry config %s: no models", o.registryPath)
+	}
+	if o.capacity > 0 {
+		cfg.Capacity = o.capacity
+	}
+	if o.defaultDataset != "" {
+		cfg.Default = o.defaultDataset
+	}
+	if cfg.Default == "" && len(cfg.Models) == 1 {
+		cfg.Default = cfg.Models[0].Name
+	}
+	return cfg, nil
 }

@@ -43,6 +43,68 @@ func writeDataset(t *testing.T, dir string) string {
 	return path
 }
 
+// healthBody is the part of the /healthz body the flag-mode tests read.
+type healthBody struct {
+	Status   string `json:"status"`
+	Datasets []struct {
+		Surrogate     bool `json:"surrogate"`
+		SurrogateInfo struct {
+			Statistic string `json:"statistic"`
+		} `json:"surrogate_info"`
+	} `json:"datasets"`
+}
+
+// getJSON decodes a 200 JSON response from url into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkFlagEntry checks, right after the listener opens, the one-entry
+// registry the dataset flags describe over data.csv: /readyz is
+// already 200, /v1/models lists the CSV-named entry "data" as the
+// default, and a find naming it succeeds.
+func checkFlagEntry(t *testing.T, base string) {
+	t.Helper()
+	var ready struct {
+		Status string `json:"status"`
+	}
+	getJSON(t, base+"/readyz", &ready)
+	if ready.Status != "ready" {
+		t.Fatalf("first readyz = %+v", ready)
+	}
+	var listing struct {
+		Default string `json:"default_dataset"`
+		Models  []struct {
+			Name string `json:"name"`
+		} `json:"models"`
+	}
+	getJSON(t, base+"/v1/models", &listing)
+	if listing.Default != "data" || len(listing.Models) != 1 || listing.Models[0].Name != "data" {
+		t.Fatalf("models listing: %+v", listing)
+	}
+	q := `{"dataset": "data", "threshold": 10, "above": true, "seed": 2, "glowworms": 20, "iterations": 10}`
+	resp, err := http.Post(base+"/v1/find", "application/json", strings.NewReader(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("find naming the entry: status %d: %s", resp.StatusCode, b)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	ctx := context.Background()
 	if err := run(ctx, serveOpts{}, nil); err == nil {
@@ -102,7 +164,7 @@ func TestServeEndToEnd(t *testing.T) {
 	go func() {
 		done <- run(ctx, serveOpts{
 			dataPath: data, filters: "x,y", stat: "count",
-			train: 200, seed: 1, addr: "127.0.0.1:0", cache: -1,
+			train: 200, seed: 1, addr: "127.0.0.1:0",
 		}, func(addr string) { ready <- addr })
 	}()
 
@@ -115,25 +177,16 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal("server never became ready")
 	}
 	base := "http://" + addr
+	checkFlagEntry(t, base)
 
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Status    string `json:"status"`
-		Surrogate bool   `json:"surrogate"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if health.Status != "ok" || !health.Surrogate {
+	var health healthBody
+	getJSON(t, base+"/healthz", &health)
+	if health.Status != "ok" || len(health.Datasets) != 1 || !health.Datasets[0].Surrogate {
 		t.Fatalf("healthz = %+v", health)
 	}
 
 	q, _ := json.Marshal(surf.Query{Threshold: 10, Above: true, Seed: 2, Glowworms: 20, Iterations: 10})
-	resp, err = http.Post(base+"/v1/find", "application/json", bytes.NewReader(q))
+	resp, err := http.Post(base+"/v1/find", "application/json", bytes.NewReader(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +254,7 @@ func TestServeWithArtifact(t *testing.T) {
 	go func() {
 		done <- run(ctx, serveOpts{
 			dataPath: data, filters: "x,y", stat: "count",
-			modelPath: model, addr: "127.0.0.1:0", cache: -1,
+			modelPath: model, addr: "127.0.0.1:0",
 		}, func(addr string) { ready <- addr })
 	}()
 	var addr string
@@ -212,19 +265,12 @@ func TestServeWithArtifact(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("server never became ready")
 	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Surrogate bool   `json:"surrogate"`
-		Statistic string `json:"statistic"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !health.Surrogate || health.Statistic != "count" {
+	base := "http://" + addr
+	checkFlagEntry(t, base)
+	var health healthBody
+	getJSON(t, base+"/healthz", &health)
+	if len(health.Datasets) != 1 || !health.Datasets[0].Surrogate ||
+		health.Datasets[0].SurrogateInfo.Statistic != "count" {
 		t.Fatalf("healthz = %+v", health)
 	}
 	cancel()

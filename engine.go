@@ -2,6 +2,7 @@ package surf
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"surf/internal/core"
 	"surf/internal/dataset"
-	"surf/internal/gbt/kernel"
 	"surf/internal/geom"
 	"surf/internal/ml"
 )
@@ -68,8 +68,9 @@ type Config struct {
 	TargetColumn string
 	// UseGridIndex builds a uniform grid index for true-function
 	// evaluations instead of linear scans. Recommended for repeated
-	// evaluation on low-dimensional data. Ignored when a Backend is
-	// plugged in via WithBackend.
+	// evaluation on low-dimensional data; above 20 filter columns,
+	// where no grid fits the cell cap, the engine scans instead.
+	// Ignored when a Backend is plugged in via WithBackend.
 	UseGridIndex bool
 }
 
@@ -117,7 +118,6 @@ type Engine struct {
 	spec     dataset.Spec
 	names    []string // column names, the fixed schema across data versions
 	observer func(Event)
-	kernel   kernel.Backend
 	// useGrid and backend remember how Open built the evaluator so
 	// SetDataset can rebuild it the same way for a new data version;
 	// domainFixed records a WithDomain override, which data swaps
@@ -189,10 +189,9 @@ func (sn *snapshot) generation() uint64 {
 // mutex it reads the current snapshot, lets mut derive the next one
 // from it, inherits the current data view when mut supplies none (a
 // model swap keeps serving the data it trained against until the next
-// data swap), recompiles the surrogate for the engine's inference
-// backend (a no-op when it already serves through it), stamps the
-// provenance with the backend actually serving — the scalar fallback
-// when the configured backend cannot represent the ensemble — and the
+// data swap), stamps the provenance with the inference backend the
+// surrogate was compiled for at construction — the scalar fallback
+// when the default backend cannot represent the ensemble — and the
 // view's data version, assigns a fresh generation, and atomically
 // swaps the snapshot in. The cache is cleared first — entries under
 // older generations could never be served anyway (keys embed the
@@ -209,13 +208,30 @@ func (e *Engine) swapSnapshot(mut func(cur *snapshot) *snapshot) {
 		sn.view = cur.view
 	}
 	if sn.surr != nil {
-		sn.surr = sn.surr.Recompiled(e.kernel)
 		sn.info.Kernel = sn.surr.Kernel().Name()
 		sn.info.DataVersion = sn.view.version
 	}
 	sn.gen = e.snapGen.Add(1)
 	e.cache.clear()
 	e.surrogate.Store(sn)
+}
+
+// newEvaluator builds the dataset-reading evaluator Open and SetDataset
+// install: a grid index when useGrid asks for one and the filter
+// dimensionality admits it, the LinearScan reference otherwise. Both
+// evaluate bit-identically (FuzzEvaluatorParity pins that), so the
+// fallback changes only speed.
+func newEvaluator(d *dataset.Dataset, spec dataset.Spec, useGrid bool) (dataset.Evaluator, error) {
+	if useGrid {
+		g, err := dataset.NewGridIndex(d, spec, 0)
+		switch {
+		case err == nil:
+			return g, nil
+		case !errors.Is(err, dataset.ErrGridTooWide):
+			return nil, err
+		}
+	}
+	return dataset.NewLinearScan(d, spec)
 }
 
 // Open validates the config against the dataset and returns an engine.
@@ -258,17 +274,13 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	dims := len(spec.FilterCols)
 
 	var ev dataset.Evaluator
-	var err error
-	switch {
-	case eo.backend != nil:
+	if eo.backend != nil {
 		ev = backendEvaluator{b: eo.backend, spec: spec, dims: dims}
-	case cfg.UseGridIndex:
-		ev, err = dataset.NewGridIndex(ds.inner, spec, 0)
-	default:
-		ev, err = dataset.NewLinearScan(ds.inner, spec)
-	}
-	if err != nil {
-		return nil, err
+	} else {
+		var err error
+		if ev, err = newEvaluator(ds.inner, spec, cfg.UseGridIndex); err != nil {
+			return nil, err
+		}
 	}
 
 	domain := ds.inner.Domain(spec.FilterCols)
@@ -305,7 +317,6 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 		spec:        spec,
 		names:       ds.inner.Names(),
 		observer:    eo.observer,
-		kernel:      kernel.Default(),
 		useGrid:     cfg.UseGridIndex,
 		backend:     eo.backend,
 		domainFixed: eo.domainSet,
@@ -463,10 +474,10 @@ type SurrogateInfo struct {
 	Lambda       float64
 	HyperTuned   bool
 	// Kernel names the inference backend serving this snapshot
-	// ("scalar", "binned"). It is a property of the serving engine,
-	// not of the trained weights: artifacts restore with the loading
-	// engine's backend, and a backend that cannot represent the
-	// ensemble reports the scalar fallback actually serving it.
+	// ("scalar", "binned"). It is a property of the compiled model,
+	// not of the trained weights: artifacts restore compiled with the
+	// default backend, and an ensemble that backend cannot represent
+	// reports the scalar fallback actually serving it.
 	Kernel string
 	// DataVersion is the version of the dataset this snapshot serves
 	// over (1 = the dataset the engine opened with; each SetDataset

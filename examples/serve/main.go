@@ -1,12 +1,13 @@
 // Serve: the HTTP query API end to end — a server with a trained
 // surrogate and a plain HTTP client talking to it.
 //
-//  1. Build a clustered dataset, open an engine, train a surrogate
-//     and start the HTTP server in-process on a loopback port (in a
-//     real deployment this half lives in surf-serve; everything the
-//     client half does works unchanged against it).
-//  2. GET /healthz — liveness plus what the resident surrogate
-//     computes.
+//  1. Write a clustered dataset to a temporary CSV, register it as
+//     the one entry of a model registry (trained at load time) and
+//     start the HTTP server in-process on a loopback port (in a real
+//     deployment this half lives in surf-serve; everything the client
+//     half does works unchanged against it).
+//  2. GET /healthz — liveness plus each dataset's lifecycle state
+//     (the entry loads, and trains, lazily on first use).
 //  3. POST /v1/find — a threshold query as JSON, a ranked Result
 //     back.
 //  4. GET /v1/stream — the same query as Server-Sent Events: swarm
@@ -27,9 +28,12 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 
 	surf "surf"
+	"surf/registry"
 	"surf/server"
 )
 
@@ -37,7 +41,7 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// 1. Server half: dataset, engine, surrogate, HTTP listener.
+	// 1. Server half: dataset CSV, one-entry registry, HTTP listener.
 	rng := rand.New(rand.NewPCG(11, 4))
 	const n = 20000
 	xs := make([]float64, n)
@@ -55,19 +59,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := surf.Open(ds, surf.Config{
+	dir, err := os.MkdirTemp("", "surf-serve-example")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	csvPath := filepath.Join(dir, "clusters.csv")
+	f, err := os.Create(csvPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := ds.WriteCSV(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	reg := registry.New(0)
+	if _, err := reg.Register("clusters", registry.Spec{
+		Data:          csvPath,
 		FilterColumns: []string{"x", "y"},
-		Statistic:     surf.Count,
+		Statistic:     "count",
+		Train:         3000,
+		TrainSeed:     1,
 		UseGridIndex:  true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	wl, err := eng.GenerateWorkloadContext(ctx, 3000, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := eng.TrainSurrogateContext(ctx, wl, surf.TrainOptions{}); err != nil {
+	}); err != nil {
 		log.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -75,27 +91,29 @@ func main() {
 		log.Fatal(err)
 	}
 	served := make(chan error, 1)
-	go func() { served <- server.New(eng).Serve(ctx, l) }()
+	go func() { served <- server.NewRegistry(reg, "clusters").Serve(ctx, l) }()
 	base := "http://" + l.Addr().String()
 	fmt.Println("server listening on", base)
 
-	// 2. Liveness and surrogate status.
+	// 2. Liveness and per-dataset status. The entry loads (and trains)
+	// lazily on first use, so the find below pays for the training.
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		log.Fatal(err)
 	}
 	var health struct {
-		Status    string   `json:"status"`
-		Surrogate bool     `json:"surrogate"`
-		Statistic string   `json:"statistic"`
-		Filters   []string `json:"filter_columns"`
+		Status   string `json:"status"`
+		Datasets []struct {
+			Name  string `json:"name"`
+			State string `json:"state"`
+		} `json:"datasets"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
-	fmt.Printf("healthz: %s, surrogate=%v (%s over %v)\n\n",
-		health.Status, health.Surrogate, health.Statistic, health.Filters)
+	fmt.Printf("healthz: %s, dataset %q %s\n\n",
+		health.Status, health.Datasets[0].Name, health.Datasets[0].State)
 
 	// 3. One blocking query over HTTP. MinSideFrac keeps the size
 	// regularizer from shrinking regions below the scale the

@@ -1,7 +1,6 @@
 package surf
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"sync"
@@ -80,55 +79,39 @@ func TestPredictStatisticBatch(t *testing.T) {
 	}
 }
 
-// TestInferenceKernelSelection: engines serving the same artifact
-// through different inference backends report the backend in
-// SurrogateInfo and predict bit-identically — the contract that lets
-// the engine always compile with the default backend while scalar
-// stays the fallback and the reference.
+// TestInferenceKernelSelection: an engine serves its surrogate through
+// the default backend and reports it in SurrogateInfo, and every
+// registered backend compiles the same ensemble to bit-identical
+// predictions — the contract that lets the engine always compile with
+// the default backend while scalar stays the fallback and the
+// reference.
 func TestInferenceKernelSelection(t *testing.T) {
 	names := kernel.Names()
 	if len(names) < 2 {
 		t.Fatalf("kernel.Names() = %v, want scalar and binned at least", names)
 	}
-
-	// Train once, then restore the identical artifact into one engine
-	// per backend: artifacts carry weights, not a backend, so each
-	// engine recompiles for its own kernel.
-	ref := inferenceEngine(t)
-	if info, _ := ref.SurrogateInfo(); info.Kernel != kernel.DefaultName {
+	eng := inferenceEngine(t)
+	if info, _ := eng.SurrogateInfo(); info.Kernel != kernel.DefaultName {
 		t.Fatalf("default engine serves %q, want %q", info.Kernel, kernel.DefaultName)
 	}
-	var art bytes.Buffer
-	if err := ref.SaveSurrogate(&art); err != nil {
+	rows := probeRows(300)
+	want := make([]float64, len(rows))
+	if err := eng.PredictStatisticBatch(rows, want); err != nil {
 		t.Fatal(err)
 	}
-	rows := probeRows(300)
-	outs := make([][]float64, len(names))
-	for i, name := range names {
-		eng, err := Open(crimeGrid(5000, 31), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The backend is engine-internal; only tests set it directly.
+	model := eng.surrogate.Load().surr.Model()
+	for _, name := range names {
 		b, _ := kernel.Lookup(name)
-		eng.kernel = b
-		if err := eng.LoadSurrogate(bytes.NewReader(art.Bytes())); err != nil {
-			t.Fatal(err)
+		km := model.CompileWith(b)
+		if km.Name() != name {
+			t.Fatalf("backend %s compiled as %q", name, km.Name())
 		}
-		info, ok := eng.SurrogateInfo()
-		if !ok || info.Kernel != name {
-			t.Fatalf("SurrogateInfo.Kernel = %q (ok=%v), want %q", info.Kernel, ok, name)
-		}
-		outs[i] = make([]float64, len(rows))
-		if err := eng.PredictStatisticBatch(rows, outs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i < len(outs); i++ {
+		got := make([]float64, len(rows))
+		km.PredictBatch(rows, got)
 		for j := range rows {
-			if math.Float64bits(outs[i][j]) != math.Float64bits(outs[0][j]) {
-				t.Fatalf("kernels %s and %s diverge at row %d: %v != %v",
-					names[i], names[0], j, outs[i][j], outs[0][j])
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("backend %s diverges from the engine at row %d: %v != %v",
+					name, j, got[j], want[j])
 			}
 		}
 	}

@@ -19,7 +19,7 @@ import (
 //
 // Every surrogate carries a kernel-compiled snapshot of its ensemble
 // (built once at train/load time with the process-default inference
-// backend; see Recompiled to choose another) that serves all
+// backend) that serves all
 // predictions; PredictBatch evaluates whole probe batches against it
 // without per-probe allocation. A Surrogate is immutable and safe for
 // concurrent use.
@@ -167,18 +167,6 @@ func (s *Surrogate) ContinueTrainingContext(ctx context.Context, extra int, log 
 // predictions (which may be the scalar fallback when the requested
 // backend could not represent the ensemble).
 func (s *Surrogate) Kernel() kernel.Model { return s.kern }
-
-// Recompiled returns a surrogate serving the same ensemble through
-// backend b, falling back to the scalar backend when b cannot
-// represent it. When the receiver already serves through b it is
-// returned unchanged — the engine calls this on every snapshot swap,
-// and the common case (backend unchanged) must not recompile.
-func (s *Surrogate) Recompiled(b kernel.Backend) *Surrogate {
-	if s.kern.Name() == b.Name() {
-		return s
-	}
-	return &Surrogate{model: s.model, kern: s.model.CompileWith(b), dims: s.dims}
-}
 
 // ErrDimMismatch reports a prediction request whose shape does not
 // match the surrogate's [x, l] encoding.

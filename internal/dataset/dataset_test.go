@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -285,6 +286,23 @@ func TestGridEvaluateAllocs(t *testing.T) {
 				t.Errorf("%v: allocs per Evaluate = %v over regions of 4, 64 and ~900 cells; want one constant <= 4", kind, counts)
 				break
 			}
+		}
+	}
+}
+
+// TestGridTooWide: above 20 filter dimensions even two cells per
+// dimension exceed maxGridCells, so NewGridIndex refuses instead of
+// overrunning the cap (d = 21) or indexing past its cells (d = 22).
+func TestGridTooWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, dims := range []int{21, 22} {
+		d := randomDataset(rng, 2000, dims)
+		spec := Spec{Stat: stats.Count}
+		for j := 0; j < dims; j++ {
+			spec.FilterCols = append(spec.FilterCols, j)
+		}
+		if _, err := NewGridIndex(d, spec, 0); !errors.Is(err, ErrGridTooWide) {
+			t.Errorf("d = %d: got %v, want ErrGridTooWide", dims, err)
 		}
 	}
 }

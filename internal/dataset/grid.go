@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -47,13 +48,21 @@ type GridIndex struct {
 // reduced per dimension.
 const maxGridCells = 1 << 20
 
+// ErrGridTooWide reports a spec with so many filter dimensions that
+// even two cells per dimension exceed maxGridCells (d > 20).
+var ErrGridTooWide = errors.New("dataset: too many filter dimensions for a grid index")
+
 // NewGridIndex builds a grid index with the given per-dimension
-// resolution (use 0 for an automatic choice).
+// resolution (use 0 for an automatic choice). Specs over more than 20
+// filter dimensions return ErrGridTooWide.
 func NewGridIndex(d *Dataset, spec Spec, res int) (*GridIndex, error) {
 	if err := spec.Validate(d); err != nil {
 		return nil, err
 	}
 	dims := len(spec.FilterCols)
+	if pow(2, dims) > maxGridCells {
+		return nil, fmt.Errorf("%w: %d", ErrGridTooWide, dims)
+	}
 	if res <= 0 {
 		// Aim for ~an average of a few dozen rows per occupied cell in
 		// low dimensions while respecting the global cell cap.

@@ -237,6 +237,45 @@ func TestSetDatasetCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestSetDatasetKeepsSurrogate: a data swap republishes the very
+// surrogate it found — no recompile — and stamps the provenance with
+// that surrogate's backend and the new data version.
+func TestSetDatasetKeepsSurrogate(t *testing.T) {
+	eng, err := Open(crimeGrid(300, 3), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := eng.GenerateWorkload(80, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.TrainSurrogate(wl, TrainOptions{Seed: 2, Trees: 5}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(crimeGrid(300, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	surr := eng.surrogate.Load().surr
+	for i := 0; i < 2; i++ {
+		if _, err := store.Append([][]float64{{0.7, 0.3}}); err != nil {
+			t.Fatal(err)
+		}
+		ds, version := store.View()
+		if err := eng.SetDataset(ds, version); err != nil {
+			t.Fatal(err)
+		}
+		sn := eng.surrogate.Load()
+		if sn.surr != surr {
+			t.Fatalf("swap %d replaced the surrogate", i)
+		}
+		if sn.info.Kernel != surr.Kernel().Name() || sn.info.DataVersion != version {
+			t.Fatalf("swap %d provenance: kernel %q data version %d, want %q and %d",
+				i, sn.info.Kernel, sn.info.DataVersion, surr.Kernel().Name(), version)
+		}
+	}
+}
+
 // TestSetDatasetValidation: nil datasets and schema mismatches are
 // rejected before anything swaps.
 func TestSetDatasetValidation(t *testing.T) {

@@ -70,8 +70,8 @@ func TestDatasetAppendEndpoint(t *testing.T) {
 }
 
 // TestDatasetAppendErrors covers the failure surface: unknown names,
-// batches the store rejects, oversized bodies and single-engine
-// servers, each with its stable error code.
+// batches the store rejects and oversized bodies, each with its
+// stable error code.
 func TestDatasetAppendErrors(t *testing.T) {
 	fx := newRegistryFixture(t)
 	ts, _ := registryServer(t, fx)
@@ -101,11 +101,6 @@ func TestDatasetAppendErrors(t *testing.T) {
 	if m.State == "ready" && m.DataVersion != 1 {
 		t.Fatalf("failed appends moved data version to %d", m.DataVersion)
 	}
-
-	single, _ := testServer(t, true)
-	resp = postJSON(t, single.URL+"/v1/datasets/alpha/append",
-		map[string]any{"rows": appendBatch(1, 3)})
-	wantStatus(t, resp, http.StatusNotFound, "no_registry")
 }
 
 // TestDatasetAppendDrift registers a drift-monitored entry and checks

@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 
-	surf "surf"
 	"surf/internal/obs"
 	"surf/registry"
 )
@@ -55,10 +54,9 @@ type serverMetrics struct {
 	fallback  *routeMetrics
 }
 
-// newServerMetrics builds the instrument set. eng and registry are the
-// server's backend — exactly one is non-nil — and feed the scrape-time
-// collectors.
-func newServerMetrics(eng *surf.Engine, reg *registry.Registry) *serverMetrics {
+// newServerMetrics builds the instrument set; reg feeds the
+// scrape-time collectors.
+func newServerMetrics(reg *registry.Registry) *serverMetrics {
 	r := obs.NewRegistry()
 	m := &serverMetrics{
 		reg:       r,
@@ -71,33 +69,14 @@ func newServerMetrics(eng *surf.Engine, reg *registry.Registry) *serverMetrics {
 	}
 	m.fallback = m.newRoute("other")
 	m.collectKernels()
-
-	switch {
-	case reg != nil:
-		m.collectRegistry(reg)
-	case eng != nil:
-		r.Collect("surf_result_cache_hits_total", "Result cache hits.", obs.TypeCounter,
-			func(emit func(v float64, labels ...string)) {
-				emit(float64(eng.CacheStats().Hits))
-			})
-		r.Collect("surf_result_cache_misses_total", "Result cache misses.", obs.TypeCounter,
-			func(emit func(v float64, labels ...string)) {
-				emit(float64(eng.CacheStats().Misses))
-			})
-		r.Collect("surf_kernel_active", "Inference backend serving the engine's surrogate (1 = active).", obs.TypeGauge,
-			func(emit func(v float64, labels ...string)) {
-				if info, ok := eng.SurrogateInfo(); ok && info.Kernel != "" {
-					emit(1, "kernel", info.Kernel)
-				}
-			})
-	}
+	m.collectRegistry(reg)
 	return m
 }
 
 // collectKernels registers the per-backend inference activity
 // collectors. The counters are process-wide (the gbt kernel layer
-// records every prediction, whichever engine served it), so both the
-// single-engine and registry servers export the same families.
+// records every prediction, whichever engine served it), so they carry
+// no dataset label.
 func (m *serverMetrics) collectKernels() {
 	m.reg.Collect("surf_kernel_rows_predicted_total", "Rows predicted per inference backend.", obs.TypeCounter,
 		func(emit func(v float64, labels ...string)) {

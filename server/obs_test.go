@@ -40,7 +40,7 @@ func TestRequestIDPropagation(t *testing.T) {
 		{http.MethodGet, "/healthz", ""},
 		{http.MethodGet, "/readyz", ""},
 		{http.MethodPost, "/v1/topk", `{"k":1,"largest":true,"seed":2,"glowworms":20,"iterations":10}`},
-		{http.MethodGet, "/v1/models", ""}, // error path: no registry
+		{http.MethodGet, "/v1/models", ""},
 	}
 	for _, rt := range jsonRoutes {
 		req, err := http.NewRequest(rt.method, ts.URL+rt.path, strings.NewReader(rt.body))
@@ -112,10 +112,10 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		{http.MethodPost, "/v1/findmany", `{"queries":[]}`, http.StatusBadRequest, "bad_query"},
 		{http.MethodGet, "/v1/stream", "", http.StatusBadRequest, "bad_query"},
 		{http.MethodPost, "/v1/stream", `{}`, http.StatusBadRequest, "bad_query"},
-		{http.MethodGet, "/v1/models", "", http.StatusNotFound, "no_registry"},
-		{http.MethodGet, "/v1/models/x", "", http.StatusNotFound, "no_registry"},
-		{http.MethodPut, "/v1/models/x", `{}`, http.StatusNotFound, "no_registry"},
-		{http.MethodDelete, "/v1/models/x", "", http.StatusNotFound, "no_registry"},
+		{http.MethodGet, "/v1/models/x", "", http.StatusNotFound, "unknown_dataset"},
+		{http.MethodPut, "/v1/models/x", `{}`, http.StatusBadRequest, "bad_spec"},
+		{http.MethodDelete, "/v1/models/x", "", http.StatusNotFound, "unknown_dataset"},
+		{http.MethodPost, "/v1/datasets/x/append", `{"rows":[[0.5,0.5]]}`, http.StatusNotFound, "unknown_dataset"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -170,8 +170,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`surf_http_request_duration_seconds_count{route="POST /v1/find"} 2`,
 		`surf_http_response_bytes_total{route="POST /v1/find"}`,
 		`surf_http_in_flight_requests`,
-		`surf_result_cache_hits_total 1`,
-		`surf_result_cache_misses_total 1`,
+		`surf_result_cache_hits_total{dataset="test"} 1`,
+		`surf_result_cache_misses_total{dataset="test"} 1`,
 		"# TYPE surf_http_request_duration_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
@@ -265,7 +265,7 @@ func TestObsMiddlewareZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	m := newServerMetrics(nil, nil)
+	m := newServerMetrics(registry.New(0))
 	h := m.withObs(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}))
@@ -278,7 +278,7 @@ func TestObsMiddlewareZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkObsMiddlewareAllocs(b *testing.B) {
-	m := newServerMetrics(nil, nil)
+	m := newServerMetrics(registry.New(0))
 	h := m.withObs(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}))
@@ -295,7 +295,7 @@ func BenchmarkObsMiddlewareAllocs(b *testing.B) {
 // to its status class, implicit 200s included, and unmatched routes
 // land on "other".
 func TestMiddlewareStatusCapture(t *testing.T) {
-	m := newServerMetrics(nil, nil)
+	m := newServerMetrics(registry.New(0))
 	cases := []struct {
 		handler http.HandlerFunc
 		class   string
@@ -340,7 +340,7 @@ func counterValue(m *serverMetrics, route, class string) uint64 {
 // bucket consistent with its duration — the latency histogram really
 // measures wall time.
 func TestMiddlewareHistogramBuckets(t *testing.T) {
-	m := newServerMetrics(nil, nil)
+	m := newServerMetrics(registry.New(0))
 	h := m.withObs(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(20 * time.Millisecond)
 		w.WriteHeader(http.StatusOK)
@@ -451,20 +451,6 @@ func TestStreamPostMatchesGet(t *testing.T) {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
 	})
-}
-
-// TestReadyzSingleEngine: a single-engine server is ready the moment
-// it serves.
-func TestReadyzSingleEngine(t *testing.T) {
-	ts, _ := testServer(t, false)
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
 }
 
 // TestReadyzFlip is the acceptance criterion for /readyz: on a

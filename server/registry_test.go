@@ -97,7 +97,7 @@ func (fx registryFixture) spec(artifact string) registry.Spec {
 	}
 }
 
-// registryServer mounts a registry-mode Server over "alpha" and "beta"
+// registryServer mounts a Server over "alpha" and "beta"
 // entries (both artifact A) with "alpha" as the default dataset.
 func registryServer(t *testing.T, fx registryFixture) (*httptest.Server, *registry.Registry) {
 	t.Helper()
@@ -455,26 +455,6 @@ func TestStreamDatasetRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStatus(t, resp, http.StatusNotFound, "unknown_dataset")
-}
-
-// TestSingleModeRegistryEndpoints checks a single-engine server rejects
-// registry-only features: the admin API 404s and a dataset field has
-// nothing to route by.
-func TestSingleModeRegistryEndpoints(t *testing.T) {
-	ts, _ := testServer(t, true)
-
-	resp, err := http.Get(ts.URL + "/v1/models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusNotFound, "no_registry")
-	resp = putJSON(t, ts.URL+"/v1/models/alpha", map[string]any{"data": "x.csv"})
-	wantStatus(t, resp, http.StatusNotFound, "no_registry")
-	resp = doDelete(t, ts.URL+"/v1/models/alpha")
-	wantStatus(t, resp, http.StatusNotFound, "no_registry")
-
-	resp = postJSON(t, ts.URL+"/v1/find", withDataset(t, smallQuery, "alpha"))
 	wantStatus(t, resp, http.StatusNotFound, "unknown_dataset")
 }
 

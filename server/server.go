@@ -17,13 +17,12 @@
 //	DELETE /v1/models/{name}                → remove
 //	POST /v1/datasets/{name}/append  {rows:[…]} → append rows (living data)
 //
-// A server built with New serves one engine; one built with
-// NewRegistry serves a multi-dataset registry.Registry, routing each
-// query by its "dataset" field (?dataset= for GET streams) with an
-// optional default for requests that name none. The /v1/models admin
-// API, per-dataset /healthz reporting and the append endpoint are
-// registry-mode features; a single-engine server answers them 404
-// ("no_registry").
+// The one constructor, NewRegistry, serves a registry.Registry —
+// a single dataset is a one-entry registry — routing each query by
+// its "dataset" field (?dataset= for GET streams) with an optional
+// default for requests that name none. Every deployment gets the
+// /v1/models admin API, per-dataset /healthz reporting and the append
+// endpoint.
 //
 // # Living data
 //
@@ -55,7 +54,6 @@
 //	bad_spec         400     malformed or unknown-field spec body, or a spec that can never load (registry.ErrBadSpec)
 //	bad_append       400     append batch the store rejects (registry.ErrBadAppend)
 //	unknown_dataset  404     dataset name with no registry entry (registry.ErrUnknownDataset)
-//	no_registry      404     admin/routing request on a single-engine server
 //	body_too_large   413     request body over the 1 MiB bound
 //	no_surrogate     409     engine cannot serve surrogate queries yet (surf.ErrNoSurrogate)
 //	bad_artifact     422     artifact rejected by its spec check (surf.ErrBadArtifact)
@@ -70,12 +68,12 @@
 // GET /metrics exposes the internal/obs registry in Prometheus text
 // format: per-route request counts by status class, latency
 // histograms and response bytes, the in-flight request gauge, SSE
-// events emitted, result-cache hit/miss counters, per-kernel
-// inference totals (surf_kernel_rows_predicted_total and friends,
-// labeled by backend) with a surf_kernel_active gauge naming the
-// backend each served surrogate runs on, and per-dataset registry
-// state (lifecycle state, version, rows, in-flight handles, load
-// duration). Living-data entries add surf_dataset_data_version (the
+// events emitted, per-dataset result-cache hit/miss counters,
+// per-kernel inference totals (surf_kernel_rows_predicted_total and
+// friends, labeled by backend) with a
+// surf_kernel_active{dataset,kernel} gauge naming the backend each
+// served surrogate runs on, and per-dataset registry state (lifecycle
+// state, version, rows, in-flight handles, load duration). Living-data entries add surf_dataset_data_version (the
 // served data version; appends increment it) and, when drift
 // monitoring is on, surf_dataset_drift_score, surf_dataset_retraining
 // and surf_dataset_retrains_total. The /v1/models listing reports the same backend as the
@@ -120,14 +118,12 @@ const maxFindManyQueries = 256
 // its context is cancelled before forcibly closing connections.
 const shutdownTimeout = 5 * time.Second
 
-// Server serves the query API over one engine (New) or a registry of
-// them (NewRegistry). Construct with either, mount Handler on any mux
-// or serve directly with Serve/ListenAndServe. Engines may be
-// retrained, hot-swapped or have artifacts loaded concurrently;
-// queries in flight keep the snapshot (or registry engine set) they
-// started with.
+// Server serves the query API over a registry of engines. Construct
+// with NewRegistry, mount Handler on any mux or serve directly with
+// Serve/ListenAndServe. Entries may be retrained, hot-swapped or
+// appended to concurrently; queries in flight keep the engine set
+// they started with.
 type Server struct {
-	eng            *surf.Engine
 	reg            *registry.Registry
 	defaultDataset string
 	mux            *http.ServeMux
@@ -146,34 +142,22 @@ func WithAccessLogger(logger *slog.Logger) Option {
 	return func(s *Server) { s.logger = logger }
 }
 
-// New wraps a single engine in the HTTP API. Requests carrying a
-// "dataset" field answer 404: there is no registry to route by.
-func New(eng *surf.Engine, opts ...Option) *Server {
-	s := &Server{eng: eng}
-	s.init(opts)
-	return s
-}
-
-// NewRegistry serves a multi-dataset registry. Requests route by their
-// "dataset" field (?dataset= for GET streams); requests naming none
-// use defaultDataset, or answer 400 when it is empty.
+// NewRegistry serves a registry. Requests route by their "dataset"
+// field (?dataset= for GET streams); requests naming none use
+// defaultDataset, or answer 400 when it is empty.
 func NewRegistry(reg *registry.Registry, defaultDataset string, opts ...Option) *Server {
 	s := &Server{reg: reg, defaultDataset: defaultDataset}
-	s.init(opts)
-	return s
-}
-
-func (s *Server) init(opts []Option) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.metrics = newServerMetrics(s.eng, s.reg)
+	s.metrics = newServerMetrics(reg)
 	s.routes()
 	// The observability chain: metrics outermost (it owns the pooled
 	// status recorder the inner layers read), then request tracing,
 	// then the mux. The mux stamps r.Pattern during routing, so both
 	// middlewares read the matched route after serving.
 	s.handler = s.metrics.withObs(withTrace(s.logger, s.mux))
+	return s
 }
 
 func (s *Server) routes() {
@@ -237,10 +221,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return s.Serve(ctx, l)
 }
 
-// errNoRegistry answers registry-only requests on a single-engine
-// server.
-var errNoRegistry = errors.New("server: not serving a model registry")
-
 // errBodyTooLarge maps an over-limit request body to 413.
 var errBodyTooLarge = errors.New("server: request body too large")
 
@@ -255,16 +235,9 @@ var errCannotStream = errors.New("server: response writer cannot stream")
 
 // acquire resolves the request's dataset to the engine to query plus
 // the release to defer, noting the resolved name on w for the access
-// log. Single-engine servers reject any explicit dataset (there is no
-// registry to route by); registry servers fall back to the default
-// dataset, if any, and otherwise require one.
+// log. A request naming no dataset falls back to the default dataset,
+// if any, and otherwise fails.
 func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, dataset string) (*surf.Engine, func(), error) {
-	if s.reg == nil {
-		if dataset != "" {
-			return nil, nil, fmt.Errorf("%w: %q (single-dataset server)", registry.ErrUnknownDataset, dataset)
-		}
-		return s.eng, func() {}, nil
-	}
 	if dataset == "" {
 		dataset = s.defaultDataset
 		if dataset == "" {
@@ -312,8 +285,6 @@ func statusFor(err error) (int, string) {
 		return http.StatusBadRequest, "bad_append"
 	case errors.Is(err, registry.ErrUnknownDataset):
 		return http.StatusNotFound, "unknown_dataset"
-	case errors.Is(err, errNoRegistry):
-		return http.StatusNotFound, "no_registry"
 	case errors.Is(err, errBodyTooLarge):
 		return http.StatusRequestEntityTooLarge, "body_too_large"
 	case errors.Is(err, surf.ErrNoSurrogate):
@@ -527,9 +498,8 @@ type streamRequest struct {
 
 // handleStreamGet runs one query as a Server-Sent Events stream. The
 // query rides in the URL — ?q={Query JSON} for threshold queries,
-// ?topk={TopKQuery JSON} for top-k, plus ?dataset={name} on a
-// registry server — because EventSource clients can only issue plain
-// GETs.
+// ?topk={TopKQuery JSON} for top-k, plus an optional ?dataset={name}
+// — because EventSource clients can only issue plain GETs.
 func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request) {
 	s.serveStream(w, r, streamRequest{
 		Dataset: r.URL.Query().Get("dataset"),
@@ -762,10 +732,6 @@ func modelBodyFor(st registry.ModelStatus) modelBody {
 
 // handleModelsList reports every registry entry's status.
 func (s *Server) handleModelsList(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeError(w, errNoRegistry)
-		return
-	}
 	statuses := s.reg.List()
 	models := make([]modelBody, 0, len(statuses))
 	for _, st := range statuses {
@@ -779,10 +745,6 @@ func (s *Server) handleModelsList(w http.ResponseWriter, r *http.Request) {
 
 // handleModelGet reports one registry entry's status.
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeError(w, errNoRegistry)
-		return
-	}
 	st, err := s.reg.Status(r.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
@@ -797,10 +759,6 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 // against the engine set they pinned while the next request loads the
 // new version.
 func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeError(w, errNoRegistry)
-		return
-	}
 	name := r.PathValue("name")
 	var spec registry.Spec
 	if err := decodeBody(w, r, &spec, registry.ErrBadSpec); err != nil {
@@ -821,10 +779,6 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 // handleModelDelete removes a dataset from the registry. In-flight
 // queries finish; new requests for the name answer 404.
 func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeError(w, errNoRegistry)
-		return
-	}
 	name := r.PathValue("name")
 	if err := s.reg.Remove(name); err != nil {
 		writeError(w, err)
@@ -861,10 +815,6 @@ type appendResponse struct {
 // store rejects (wrong width, empty, non-finite values) answer 400
 // "bad_append" with nothing changed.
 func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeError(w, errNoRegistry)
-		return
-	}
 	name := r.PathValue("name")
 	noteDataset(w, name)
 	var req appendRequest
@@ -892,17 +842,8 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// healthzBody is the single-engine /healthz response.
-type healthzBody struct {
-	Status    string   `json:"status"`
-	Dims      int      `json:"dims"`
-	Surrogate bool     `json:"surrogate"`
-	Statistic string   `json:"statistic,omitempty"`
-	Filters   []string `json:"filter_columns,omitempty"`
-}
-
-// registryHealthzBody is the registry-mode /healthz response: overall
-// liveness plus per-dataset readiness.
+// registryHealthzBody is the /healthz response: overall liveness plus
+// per-dataset readiness.
 type registryHealthzBody struct {
 	Status   string      `json:"status"`
 	Default  string      `json:"default_dataset,omitempty"`
@@ -910,22 +851,12 @@ type registryHealthzBody struct {
 }
 
 // handleHealthz reports liveness — it answers 200 whenever the process
-// serves, never gating on model state (that is /readyz's job). A
-// single-engine server reports whether its engine can serve surrogate
-// queries (surrogate-less engines still answer use_true_function
-// queries); a registry server reports every dataset's name, version
-// and lifecycle state (unloaded, loading, training, ready, failed,
-// evicted).
+// serves, never gating on model state (that is /readyz's job) — and
+// reports every dataset's name, version, lifecycle state (unloaded,
+// loading, training, ready, failed, evicted) and, once loaded, whether
+// it serves surrogate queries (surrogate-less entries still answer
+// use_true_function queries).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		body := healthzBody{Status: "ok", Dims: s.eng.Dims(), Surrogate: s.eng.HasSurrogate()}
-		if info, ok := s.eng.SurrogateInfo(); ok {
-			body.Statistic = info.Statistic
-			body.Filters = info.FilterColumns
-		}
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
 	statuses := s.reg.List()
 	body := registryHealthzBody{Status: "ok", Default: s.defaultDataset, Datasets: make([]modelBody, 0, len(statuses))}
 	for _, st := range statuses {
@@ -953,14 +884,8 @@ type readyzState struct {
 // until then. Because registry entries load lazily, each probe also
 // kicks (Registry.Warm) the loads of cold gating entries, so a
 // freshly started server converges to ready under health checks
-// alone, without waiting for query traffic. A single-engine server is
-// ready as soon as it serves: its engine was fully constructed before
-// the listener opened.
+// alone, without waiting for query traffic.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeJSON(w, http.StatusOK, readyzBody{Status: "ready"})
-		return
-	}
 	var gating []registry.ModelStatus
 	if s.defaultDataset != "" {
 		st, err := s.reg.Status(s.defaultDataset)

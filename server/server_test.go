@@ -11,18 +11,19 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	surf "surf"
+	"surf/registry"
 )
 
-// testEngine builds a small clustered dataset and trains a quick
-// surrogate; with train=false the engine can still serve
-// use_true_function queries.
-func testEngine(t *testing.T, train bool) *surf.Engine {
+// testDataset is the small clustered dataset behind testServer.
+func testDataset(t *testing.T) *surf.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(17, 3))
 	n := 1500
@@ -41,11 +42,24 @@ func testEngine(t *testing.T, train bool) *surf.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := surf.Open(d, surf.Config{FilterColumns: []string{"x", "y"}, Statistic: surf.Count})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return d
+}
+
+// testRegistry writes testDataset to a temp CSV and registers it as the
+// one entry "test". With train the entry loads a 20-tree artifact
+// trained in-process; without, it serves only use_true_function
+// queries.
+func testRegistry(t *testing.T, train bool) *registry.Registry {
+	t.Helper()
+	dir := t.TempDir()
+	d := testDataset(t)
+	spec := registry.Spec{Data: filepath.Join(dir, "test.csv"), FilterColumns: []string{"x", "y"}, Statistic: "count"}
+	writeFile(t, spec.Data, d.WriteCSV)
 	if train {
+		eng, err := surf.Open(d, surf.Config{FilterColumns: spec.FilterColumns, Statistic: surf.Count})
+		if err != nil {
+			t.Fatal(err)
+		}
 		wl, err := eng.GenerateWorkload(300, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -53,17 +67,44 @@ func testEngine(t *testing.T, train bool) *surf.Engine {
 		if err := eng.TrainSurrogate(wl, surf.TrainOptions{Trees: 20}); err != nil {
 			t.Fatal(err)
 		}
+		spec.Artifact = filepath.Join(dir, "test.surf")
+		writeFile(t, spec.Artifact, eng.SaveSurrogate)
 	}
-	return eng
+	reg := registry.New(0)
+	if _, err := reg.Register("test", spec); err != nil {
+		t.Fatal(err)
+	}
+	return reg
 }
 
-// testServer mounts a Server on an httptest listener.
+// writeFile creates path and fills it with write.
+func writeFile(t *testing.T, path string, write func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := write(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testServer mounts a Server over testRegistry, with "test" as the
+// default dataset, on an httptest listener. It loads the entry and
+// returns its engine — the one serving every request — for tests that
+// compare against in-process results.
 func testServer(t *testing.T, train bool) (*httptest.Server, *surf.Engine) {
 	t.Helper()
-	eng := testEngine(t, train)
-	ts := httptest.NewServer(New(eng).Handler())
+	reg := testRegistry(t, train)
+	h, err := reg.Acquire(context.Background(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	ts := httptest.NewServer(NewRegistry(reg, "test").Handler())
 	t.Cleanup(ts.Close)
-	return ts, eng
+	return ts, h.Engine()
 }
 
 // smallQuery keeps swarm runs fast in tests.
@@ -466,19 +507,17 @@ func TestHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body struct {
-		Status    string   `json:"status"`
-		Dims      int      `json:"dims"`
-		Surrogate bool     `json:"surrogate"`
-		Statistic string   `json:"statistic"`
-		Filters   []string `json:"filter_columns"`
-	}
+	var body registryHealthzBody
 	decodeResponse(t, resp, &body)
-	if body.Status != "ok" || body.Dims != 2 || !body.Surrogate {
+	if body.Status != "ok" || body.Default != "test" || len(body.Datasets) != 1 {
 		t.Fatalf("healthz = %+v", body)
 	}
-	if body.Statistic != "count" || len(body.Filters) != 2 {
-		t.Fatalf("healthz surrogate info = %+v", body)
+	d := body.Datasets[0]
+	if d.Name != "test" || d.State != "ready" || !d.Surrogate {
+		t.Fatalf("healthz dataset = %+v", d)
+	}
+	if d.SurrogateInfo == nil || d.SurrogateInfo.Statistic != "count" || len(d.SurrogateInfo.FilterColumns) != 2 {
+		t.Fatalf("healthz surrogate info = %+v", d.SurrogateInfo)
 	}
 
 	bare, _ := testServer(t, false)
@@ -486,8 +525,9 @@ func TestHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body = registryHealthzBody{}
 	decodeResponse(t, resp, &body)
-	if body.Status != "ok" || body.Surrogate {
+	if body.Status != "ok" || len(body.Datasets) != 1 || body.Datasets[0].Surrogate {
 		t.Fatalf("surrogate-less healthz = %+v", body)
 	}
 }
@@ -496,7 +536,7 @@ func TestHealthz(t *testing.T) {
 // context and expects a clean wind-down: Serve returns nil and the
 // port closes.
 func TestGracefulShutdown(t *testing.T) {
-	eng := testEngine(t, true)
+	reg := testRegistry(t, true)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +544,7 @@ func TestGracefulShutdown(t *testing.T) {
 	addr := l.Addr().String()
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- New(eng).Serve(ctx, l) }()
+	go func() { served <- NewRegistry(reg, "test").Serve(ctx, l) }()
 
 	// The server answers while up.
 	resp, err := http.Get("http://" + addr + "/healthz")
@@ -537,14 +577,14 @@ func urlQueryEscape(s string) string {
 // stream is in flight: the in-flight response must terminate and
 // Serve must still return promptly.
 func TestStreamShutdownMidFlight(t *testing.T) {
-	eng := testEngine(t, true)
+	reg := testRegistry(t, true)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- New(eng).Serve(ctx, l) }()
+	go func() { served <- NewRegistry(reg, "test").Serve(ctx, l) }()
 
 	long := smallQuery
 	long.Iterations = 3000

@@ -95,13 +95,7 @@ func (e *Engine) SetDataset(ds *Dataset, version uint64) error {
 	if got := ds.inner.Names(); !slices.Equal(got, e.names) {
 		return fmt.Errorf("%w: dataset columns %v do not match engine schema %v", ErrBadConfig, got, e.names)
 	}
-	var ev dataset.Evaluator
-	var err error
-	if e.useGrid {
-		ev, err = dataset.NewGridIndex(ds.inner, e.spec, 0)
-	} else {
-		ev, err = dataset.NewLinearScan(ds.inner, e.spec)
-	}
+	ev, err := newEvaluator(ds.inner, e.spec, e.useGrid)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package surf
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -157,6 +158,55 @@ func TestEngineGridIndexAgreesWithScan(t *testing.T) {
 		if ys != yg {
 			t.Fatalf("scan %g != grid %g at %v±%v", ys, yg, c, h)
 		}
+	}
+}
+
+// TestEngineGridIndexTooWideFallsBack: UseGridIndex over more filter
+// dimensions than a grid can hold (d = 22) opens on the LinearScan
+// reference instead of failing, and evaluates bit-identically to an
+// engine that asked for the scan.
+func TestEngineGridIndexTooWideFallsBack(t *testing.T) {
+	const dims, n = 22, 2000
+	rng := rand.New(rand.NewPCG(22, 1))
+	names := make([]string, dims)
+	cols := make([][]float64, dims)
+	for j := range cols {
+		names[j] = fmt.Sprintf("c%d", j)
+		cols[j] = make([]float64, n)
+		for i := range cols[j] {
+			cols[j][i] = rng.Float64()
+		}
+	}
+	d, err := NewDataset(names, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := Open(d, Config{FilterColumns: names, Statistic: Count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := Open(d, Config{FilterColumns: names, Statistic: Count, UseGridIndex: true})
+	if err != nil {
+		t.Fatalf("Open with a %d-d grid index: %v", dims, err)
+	}
+	c, h := make([]float64, dims), make([]float64, dims)
+	nonzero := 0
+	for trial := 0; trial < 40; trial++ {
+		for j := range c {
+			c[j] = rng.Float64()
+			h[j] = 0.35 + rng.Float64()*0.15
+		}
+		ys, ns := scan.Evaluate(c, h)
+		yg, ng := grid.Evaluate(c, h)
+		if math.Float64bits(ys) != math.Float64bits(yg) || ns != ng {
+			t.Fatalf("scan %g (%d rows) != grid %g (%d rows)", ys, ns, yg, ng)
+		}
+		if ns > 0 {
+			nonzero++
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("every probe region was empty; the comparison proves nothing")
 	}
 }
 
