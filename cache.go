@@ -9,11 +9,10 @@ import (
 	"surf/internal/core"
 )
 
-// defaultCacheSize is the result cache capacity an engine gets when
-// WithResultCache is not given. Results are small (a handful of
-// regions with 2d coordinates each), so the default is sized for "the
-// same dashboard asks the same few queries over and over" rather than
-// for memory pressure.
+// defaultCacheSize is the result cache capacity of every engine.
+// Results are small (a handful of regions with 2d coordinates each),
+// so the cache is sized for "the same dashboard asks the same few
+// queries over and over" rather than for memory pressure.
 const defaultCacheSize = 64
 
 // resultCache is a snapshot-keyed LRU over canonicalized queries.
@@ -27,6 +26,10 @@ const defaultCacheSize = 64
 // are free to mutate the Result they get back (batch and cached calls
 // behave identically), and a later mutation can never poison the
 // cache.
+//
+// Caching assumes repeated queries are deterministic, which holds for
+// every code path over the engine's immutable data views — provided a
+// custom statistic's function is a pure function of its rows.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -43,12 +46,8 @@ type cacheEntry struct {
 	res *Result
 }
 
-// newResultCache returns a cache holding up to capacity results;
-// capacity <= 0 disables caching entirely.
+// newResultCache returns a cache holding up to capacity results.
 func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		return &resultCache{}
-	}
 	return &resultCache{
 		cap:   capacity,
 		order: list.New(),
@@ -56,15 +55,9 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// enabled reports whether the cache can ever hold an entry.
-func (c *resultCache) enabled() bool { return c != nil && c.cap > 0 }
-
 // get returns a copy of the cached result for key and marks it most
 // recently used.
 func (c *resultCache) get(key string) (*Result, bool) {
-	if !c.enabled() {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -80,9 +73,6 @@ func (c *resultCache) get(key string) (*Result, bool) {
 // put stores a copy of res under key, evicting the least recently
 // used entry when full.
 func (c *resultCache) put(key string, res *Result) {
-	if !c.enabled() || res == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -100,9 +90,6 @@ func (c *resultCache) put(key string, res *Result) {
 
 // clear drops every entry (the engine calls it on snapshot swaps).
 func (c *resultCache) clear() {
-	if !c.enabled() {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.order.Init()
@@ -111,9 +98,6 @@ func (c *resultCache) clear() {
 
 // len reports the number of live entries (for tests).
 func (c *resultCache) len() int {
-	if !c.enabled() {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
@@ -136,9 +120,6 @@ type CacheStats struct {
 // without the mutex — each is individually consistent, which is all a
 // metrics scrape needs.
 func (c *resultCache) stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
 	return CacheStats{
 		Hits:     c.hits.Load(),
 		Misses:   c.misses.Load(),

@@ -5,55 +5,34 @@ import (
 	"testing"
 )
 
-// cachedEngine builds an engine whose true function counts its calls
-// (via the countingBackend from the WithBackend tests), so cache hits
-// are observable: a hit issues no evaluations at all. Backend engines
-// default to no cache, so caching is opted into explicitly; caller
-// options append afterwards and may override it.
-func cachedEngine(t *testing.T, opts ...Option) (*Engine, *countingBackend) {
-	t.Helper()
-	d := crimeGrid(1500, 21)
-	plain, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb := &countingBackend{inner: plain}
-	eng, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		append([]Option{WithBackend(cb), WithResultCache(defaultCacheSize)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, cb
-}
+// countedEvals counts calls of countingStat, the test statistic
+// cachedEngine opens its engines with.
+var countedEvals atomic.Int64
 
-// TestResultCacheDefaults: plain engines cache by default; engines
-// with a custom Backend (possibly fronting live data) do not, unless
-// they opt in.
-func TestResultCacheDefaults(t *testing.T) {
-	d := crimeGrid(500, 22)
-	plain, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
+// countingStat is Count computed by a custom statistic that counts its
+// calls — one per true-function evaluation — registered once for this
+// test binary (registrations are process-wide).
+var countingStat = func() Statistic {
+	s, err := CustomStatistic("test-counting-count", func(rows [][]float64) float64 {
+		countedEvals.Add(1)
+		return float64(len(rows))
+	})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}()
+
+// cachedEngine builds an engine whose true function counts its calls,
+// so cache hits are observable: a hit issues no evaluations at all.
+// Tests read the counter as deltas, so they must not run in parallel.
+func cachedEngine(t *testing.T) *Engine {
+	t.Helper()
+	eng, err := Open(crimeGrid(1500, 21), Config{FilterColumns: []string{"x", "y"}, Statistic: countingStat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plain.cache.enabled() {
-		t.Error("plain engine's cache disabled by default")
-	}
-	backed, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithBackend(&countingBackend{inner: plain}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backed.cache.enabled() {
-		t.Error("backend engine's cache enabled by default (may front live data)")
-	}
-	optedIn, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithBackend(&countingBackend{inner: plain}), WithResultCache(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !optedIn.cache.enabled() {
-		t.Error("explicit WithResultCache ignored on backend engine")
-	}
+	return eng
 }
 
 // cacheQuery is a small fixed true-function query used throughout.
@@ -86,12 +65,12 @@ func sameRegions(t *testing.T, a, b *Result) {
 // without re-running the swarm, and that the cached result is equal
 // to the computed one.
 func TestResultCacheHit(t *testing.T) {
-	eng, cb := cachedEngine(t)
+	eng := cachedEngine(t)
 	r1, err := eng.Find(cacheQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := cb.calls.Load()
+	ran := countedEvals.Load()
 	if ran == 0 {
 		t.Fatal("first run issued no evaluations")
 	}
@@ -99,7 +78,7 @@ func TestResultCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cb.calls.Load(); got != ran {
+	if got := countedEvals.Load(); got != ran {
 		t.Fatalf("second run issued %d extra evaluations, want 0 (cache hit)", got-ran)
 	}
 	sameRegions(t, r1, r2)
@@ -112,12 +91,12 @@ func TestResultCacheHit(t *testing.T) {
 // zero-vs-explicit default knobs, or in result-neutral knobs
 // (Workers), share one cache entry.
 func TestResultCacheCanonicalization(t *testing.T) {
-	eng, cb := cachedEngine(t)
+	eng := cachedEngine(t)
 	q := cacheQuery
 	if _, err := eng.Find(q); err != nil {
 		t.Fatal(err)
 	}
-	ran := cb.calls.Load()
+	ran := countedEvals.Load()
 
 	explicit := q
 	explicit.C = 4           // the default
@@ -128,7 +107,7 @@ func TestResultCacheCanonicalization(t *testing.T) {
 	if _, err := eng.Find(explicit); err != nil {
 		t.Fatal(err)
 	}
-	if got := cb.calls.Load(); got != ran {
+	if got := countedEvals.Load(); got != ran {
 		t.Fatalf("canonically identical query re-ran the swarm (%d extra evaluations)", got-ran)
 	}
 
@@ -137,7 +116,7 @@ func TestResultCacheCanonicalization(t *testing.T) {
 	if _, err := eng.Find(different); err != nil {
 		t.Fatal(err)
 	}
-	if got := cb.calls.Load(); got == ran {
+	if got := countedEvals.Load(); got == ran {
 		t.Fatal("materially different query was served from cache")
 	}
 }
@@ -146,7 +125,7 @@ func TestResultCacheCanonicalization(t *testing.T) {
 // clears the cache, so no entry outlives the snapshot it was computed
 // against.
 func TestResultCacheInvalidatedBySwap(t *testing.T) {
-	eng, cb := cachedEngine(t)
+	eng := cachedEngine(t)
 	if _, err := eng.Find(cacheQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +142,11 @@ func TestResultCacheInvalidatedBySwap(t *testing.T) {
 	if eng.cache.len() != 0 {
 		t.Fatal("cache survived a surrogate swap")
 	}
-	ran := cb.calls.Load()
+	ran := countedEvals.Load()
 	if _, err := eng.Find(cacheQuery); err != nil {
 		t.Fatal(err)
 	}
-	if cb.calls.Load() == ran {
+	if countedEvals.Load() == ran {
 		t.Fatal("query after swap was served from the invalidated cache")
 	}
 }
@@ -175,7 +154,7 @@ func TestResultCacheInvalidatedBySwap(t *testing.T) {
 // TestResultCacheCopies: mutating a returned result must not poison
 // the cache.
 func TestResultCacheCopies(t *testing.T) {
-	eng, _ := cachedEngine(t)
+	eng := cachedEngine(t)
 	r1, err := eng.Find(cacheQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -195,45 +174,11 @@ func TestResultCacheCopies(t *testing.T) {
 	}
 }
 
-// TestResultCacheDisabled: WithResultCache(0) turns caching off.
-func TestResultCacheDisabled(t *testing.T) {
-	eng, cb := cachedEngine(t, WithResultCache(0))
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	ran := cb.calls.Load()
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	if cb.calls.Load() == ran {
-		t.Fatal("disabled cache still served a repeat query")
-	}
-}
-
-// TestResultCacheObserverBypass: an engine-wide observer expects the
-// event feed for every query, so caching is bypassed.
-func TestResultCacheObserverBypass(t *testing.T) {
-	var events atomic.Int64
-	eng, _ := cachedEngine(t, WithObserver(func(Event) { events.Add(1) }))
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	first := events.Load()
-	if first == 0 {
-		t.Fatal("observer saw no events")
-	}
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	if events.Load() == first {
-		t.Fatal("repeat query skipped the observer (served from cache)")
-	}
-}
-
 // TestResultCacheLRUEviction: the cache respects its capacity,
 // evicting the least recently used entry.
 func TestResultCacheLRUEviction(t *testing.T) {
-	eng, cb := cachedEngine(t, WithResultCache(2))
+	eng := cachedEngine(t)
+	eng.cache = newResultCache(2)
 	queries := []Query{cacheQuery, cacheQuery, cacheQuery}
 	queries[1].Threshold = 31
 	queries[2].Threshold = 32
@@ -246,19 +191,19 @@ func TestResultCacheLRUEviction(t *testing.T) {
 		t.Fatalf("cache holds %d entries, capacity 2", got)
 	}
 	// queries[0] was evicted; re-running it must actually run.
-	ran := cb.calls.Load()
+	ran := countedEvals.Load()
 	if _, err := eng.Find(queries[0]); err != nil {
 		t.Fatal(err)
 	}
-	if cb.calls.Load() == ran {
+	if countedEvals.Load() == ran {
 		t.Fatal("evicted query was served from cache")
 	}
 	// queries[2] is still resident.
-	ran = cb.calls.Load()
+	ran = countedEvals.Load()
 	if _, err := eng.Find(queries[2]); err != nil {
 		t.Fatal(err)
 	}
-	if cb.calls.Load() != ran {
+	if countedEvals.Load() != ran {
 		t.Fatal("resident query re-ran")
 	}
 }
@@ -266,7 +211,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 // TestResultCacheTopK: FindTopK shares the cache machinery, keyed
 // apart from threshold queries.
 func TestResultCacheTopK(t *testing.T) {
-	eng, cb := cachedEngine(t)
+	eng := cachedEngine(t)
 	q := TopKQuery{
 		K: 3, Largest: true, Seed: 3,
 		Iterations: 10, Glowworms: 20,
@@ -276,39 +221,22 @@ func TestResultCacheTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := cb.calls.Load()
+	ran := countedEvals.Load()
 	r2, err := eng.FindTopK(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.calls.Load() != ran {
+	if countedEvals.Load() != ran {
 		t.Fatal("repeat top-k query re-ran")
 	}
 	sameRegions(t, r1, r2)
-}
-
-// TestResultCacheSessionSharing: sessions pin the same snapshot, so
-// their queries hit the same cache entries as engine-level calls.
-func TestResultCacheSessionSharing(t *testing.T) {
-	eng, cb := cachedEngine(t)
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	ran := cb.calls.Load()
-	sess := eng.Session()
-	if _, err := sess.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	if cb.calls.Load() != ran {
-		t.Fatal("session repeat of an engine query re-ran the swarm")
-	}
 }
 
 // TestCacheStats: the engine reports lifetime hit/miss counters and
 // current occupancy, and the counters survive the clear a snapshot
 // swap triggers.
 func TestCacheStats(t *testing.T) {
-	eng, _ := cachedEngine(t)
+	eng := cachedEngine(t)
 	if st := eng.CacheStats(); st != (CacheStats{Capacity: defaultCacheSize}) {
 		t.Fatalf("fresh engine stats = %+v", st)
 	}
@@ -329,17 +257,5 @@ func TestCacheStats(t *testing.T) {
 	want.Entries = 0
 	if st != want {
 		t.Fatalf("stats after clear = %+v, want %+v", st, want)
-	}
-}
-
-// TestCacheStatsDisabled: a disabled cache reports zeros — no phantom
-// misses from the bypassed lookup path.
-func TestCacheStatsDisabled(t *testing.T) {
-	eng, _ := cachedEngine(t, WithResultCache(0))
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.CacheStats(); st != (CacheStats{}) {
-		t.Fatalf("disabled cache stats = %+v, want zeros", st)
 	}
 }

@@ -38,11 +38,6 @@
 //   - An Engine is safe for concurrent use. Queries read an atomic
 //     snapshot of the surrogate, so TrainSurrogate or LoadSurrogate
 //     may swap the model while Find calls are in flight.
-//   - Session pins one surrogate snapshot for a sequence of calls
-//     that must see a consistent model.
-//   - The Backend interface plugs custom true-function evaluators
-//     (remote stores, approximate engines) into workload generation,
-//     verification and the f+GlowWorm baseline via WithBackend.
 //   - Failures are classified by exported sentinel errors
 //     (ErrNoSurrogate, ErrDimMismatch, ErrBadConfig, …) that work
 //     with errors.Is. Queries are validated up front, before any
@@ -74,10 +69,9 @@
 // Breaking out of the loop (or cancelling ctx) stops the mining
 // goroutine within one swarm iteration; Stream.Result then returns
 // the incumbents delivered so far together with the run's error.
-// WithObserver taps the same events engine-wide without consuming
-// any stream, and Engine.FindMany executes a batch of queries
-// against one pinned surrogate snapshot on a shared worker pool,
-// yielding each result as it finishes.
+// Engine.FindMany executes a batch of queries against one pinned
+// surrogate snapshot on a shared worker pool, yielding each result as
+// it finishes.
 //
 // # Custom statistics
 //
@@ -196,10 +190,10 @@
 // manages entries through the PUT/DELETE /v1/models admin API.
 //
 // Engines also keep a small LRU result cache over canonicalized
-// queries (WithResultCache to resize or disable): a repeated
-// Find/FindTopK against the same surrogate snapshot is answered
-// without re-running the swarm, and the cache clears on every
-// train/load so no stale model's results are served.
+// queries: a repeated Find/FindTopK against the same surrogate
+// snapshot is answered without re-running the swarm, and the cache
+// clears on every train, load and data swap so no stale model's
+// results are served.
 //
 // # Living data
 //

@@ -70,61 +70,29 @@ type Config struct {
 	// evaluations instead of linear scans. Recommended for repeated
 	// evaluation on low-dimensional data; above 20 filter columns,
 	// where no grid fits the cell cap, the engine scans instead.
-	// Ignored when a Backend is plugged in via WithBackend.
+	// SetDataset rebuilds the evaluator the same way.
 	UseGridIndex bool
 }
 
-// Backend computes the true statistic function f over regions. The
-// built-in backends scan (or grid-index) the engine's in-memory
-// dataset; WithBackend plugs in alternatives — a remote column store,
-// an approximate engine, an instrumented wrapper — without changing
-// the rest of the pipeline. Implementations must be safe for
-// concurrent calls.
-type Backend interface {
-	// EvaluateRegion returns the statistic over the hyper-rectangle
-	// [center−halfSides, center+halfSides] and the number of data rows
-	// inside it. For statistics undefined on empty regions the value
-	// is NaN and the count 0.
-	EvaluateRegion(center, halfSides []float64) (value float64, count int)
-}
-
-// backendEvaluator adapts a caller-supplied Backend to the internal
-// evaluator interface used by workload generation and verification.
-type backendEvaluator struct {
-	b    Backend
-	spec dataset.Spec
-	dims int
-}
-
-func (e backendEvaluator) Evaluate(r geom.Rect) (float64, int) {
-	return e.b.EvaluateRegion(r.Center(), r.HalfSides())
-}
-func (e backendEvaluator) Spec() dataset.Spec { return e.spec }
-func (e backendEvaluator) Dims() int          { return e.dims }
-
 // Engine couples a dataset with a region-query spec, a true-function
-// backend, a (lazy) surrogate model, and the mining pipeline.
+// evaluator over the dataset, a (lazy) surrogate model, a result
+// cache, and the mining pipeline.
 //
 // An Engine is safe for concurrent use: queries operate on an atomic
 // snapshot of the surrogate, so TrainSurrogate, TrainSurrogateContext
 // and LoadSurrogate may swap the model while Find calls are running.
 // A query that starts before a swap completes finishes against the
-// model it started with; use Session to pin one snapshot across
-// several calls. Each snapshot carries a compiled flat-array form of
+// model it started with, and FindMany pins one snapshot for its whole
+// batch. Each snapshot carries a compiled flat-array form of
 // its ensemble, rebuilt on every train/load and swapped atomically
 // with it, which Find, FindTopK and PredictStatisticBatch use to
 // evaluate whole probe batches per model pass.
 type Engine struct {
-	spec     dataset.Spec
-	names    []string // column names, the fixed schema across data versions
-	observer func(Event)
-	// useGrid and backend remember how Open built the evaluator so
-	// SetDataset can rebuild it the same way for a new data version;
-	// domainFixed records a WithDomain override, which data swaps
-	// preserve instead of re-deriving the domain from the rows.
-	useGrid     bool
-	backend     Backend
-	domainFixed bool
+	spec  dataset.Spec
+	names []string // column names, the fixed schema across data versions
+	// useGrid remembers how Open built the evaluator so SetDataset can
+	// rebuild it the same way for a new data version.
+	useGrid bool
 	// surrogate holds the engine's current snapshot — always non-nil:
 	// Open publishes a model-free snapshot carrying the v1 data view,
 	// and every later swap (train, load, SetDataset) replaces it whole.
@@ -154,11 +122,11 @@ type dataView struct {
 // the pinned data view it serves over, the metadata describing how
 // the model was produced, and a generation number unique within its
 // engine. The engine swaps whole snapshots atomically, so a query (or
-// Session) pinning one sees a model, a data version and provenance
-// that can never disagree; result-cache keys embed the generation,
-// which — unlike a pointer — can never be reused after the snapshot
-// is garbage collected, and which bumps on data swaps exactly as on
-// model swaps, invalidating cached results either way.
+// a FindMany batch) pinning one sees a model, a data version and
+// provenance that can never disagree; result-cache keys embed the
+// generation, which — unlike a pointer — can never be reused after the
+// snapshot is garbage collected, and which bumps on data swaps exactly
+// as on model swaps, invalidating cached results either way.
 type snapshot struct {
 	surr *core.Surrogate
 	view *dataView
@@ -234,11 +202,10 @@ func newEvaluator(d *dataset.Dataset, spec dataset.Spec, useGrid bool) (dataset.
 	return dataset.NewLinearScan(d, spec)
 }
 
-// Open validates the config against the dataset and returns an engine.
-// Options customize the engine beyond the Config: WithBackend plugs in
-// a custom true-function evaluator, WithDomain overrides the region
-// domain.
-func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
+// Open validates the config against the dataset and returns an engine
+// whose region domain is the bounding box of the filter columns, with
+// no surrogate yet and an empty 64-entry result cache.
+func Open(ds *Dataset, cfg Config) (*Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("%w: nil dataset", ErrBadConfig)
 	}
@@ -248,10 +215,6 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	}
 	if len(cfg.FilterColumns) == 0 {
 		return nil, fmt.Errorf("%w: no filter columns", ErrBadConfig)
-	}
-	var eo engineOptions
-	for _, opt := range opts {
-		opt(&eo)
 	}
 	spec := dataset.Spec{Stat: kind}
 	for _, name := range cfg.FilterColumns {
@@ -271,63 +234,22 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	if err := spec.Validate(ds.inner); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	dims := len(spec.FilterCols)
-
-	var ev dataset.Evaluator
-	if eo.backend != nil {
-		ev = backendEvaluator{b: eo.backend, spec: spec, dims: dims}
-	} else {
-		var err error
-		if ev, err = newEvaluator(ds.inner, spec, cfg.UseGridIndex); err != nil {
-			return nil, err
-		}
-	}
-
-	domain := ds.inner.Domain(spec.FilterCols)
-	if eo.domainSet {
-		if len(eo.domainMin) != dims || len(eo.domainMax) != dims {
-			return nil, fmt.Errorf("%w: WithDomain bounds of length %d/%d for %d filter columns",
-				ErrDimMismatch, len(eo.domainMin), len(eo.domainMax), dims)
-		}
-		for j := 0; j < dims; j++ {
-			// Written to also reject NaN bounds, which compare false
-			// under any ordering.
-			if !(eo.domainMin[j] <= eo.domainMax[j]) {
-				return nil, fmt.Errorf("%w: WithDomain bounds [%g, %g] invalid in dimension %d",
-					ErrBadConfig, eo.domainMin[j], eo.domainMax[j], j)
-			}
-		}
-		domain = geom.Rect{Min: eo.domainMin, Max: eo.domainMax}
-	}
-
-	// The result cache replays evaluator-derived values (TrueValue,
-	// ComplianceRate, UseTrueFunction results), which is only sound
-	// when the evaluator reads immutable data. The built-in evaluators
-	// scan the engine's own immutable dataset; a WithBackend evaluator
-	// may front a live store, so caching there is strictly opt-in via
-	// WithResultCache.
-	cacheSize := defaultCacheSize
-	if eo.backend != nil {
-		cacheSize = 0
-	}
-	if eo.cacheSet {
-		cacheSize = eo.cacheSize
+	ev, err := newEvaluator(ds.inner, spec, cfg.UseGridIndex)
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
-		spec:        spec,
-		names:       ds.inner.Names(),
-		observer:    eo.observer,
-		useGrid:     cfg.UseGridIndex,
-		backend:     eo.backend,
-		domainFixed: eo.domainSet,
-		cache:       newResultCache(cacheSize),
+		spec:    spec,
+		names:   ds.inner.Names(),
+		useGrid: cfg.UseGridIndex,
+		cache:   newResultCache(defaultCacheSize),
 	}
 	// The initial snapshot carries the v1 data view and no surrogate;
 	// nobody can observe the engine before Open returns, so the plain
 	// Store (generation 0 = the pre-model state) needs no swap
 	// ceremony.
 	e.surrogate.Store(&snapshot{
-		view: &dataView{data: ds.inner, evaluator: ev, domain: domain, version: 1},
+		view: &dataView{data: ds.inner, evaluator: ev, domain: ds.inner.Domain(spec.FilterCols), version: 1},
 	})
 	return e, nil
 }
@@ -346,7 +268,7 @@ func (e *Engine) Domain() (min, max []float64) {
 }
 
 // Rows returns the number of data rows in the engine's current data
-// version (0 for WithBackend engines whose dataset is only a schema).
+// version.
 func (e *Engine) Rows() int { return e.view().data.Len() }
 
 // DataVersion returns the version of the dataset the engine currently
@@ -488,10 +410,8 @@ type SurrogateInfo struct {
 }
 
 // CacheStats reports the result cache's lifetime hit/miss counters
-// and current occupancy. A disabled cache (WithResultCache(0), or a
-// WithBackend engine that never opted in) reports zeros. Safe to call
-// concurrently with queries; the serving layer exports these through
-// GET /metrics.
+// and current occupancy. Safe to call concurrently with queries; the
+// serving layer exports these through GET /metrics.
 func (e *Engine) CacheStats() CacheStats {
 	return e.cache.stats()
 }
@@ -552,77 +472,4 @@ func predictBatch(s *core.Surrogate, dims int, rows [][]float64, out []float64) 
 		return fmt.Errorf("%w: %v", ErrDimMismatch, err)
 	}
 	return nil
-}
-
-// Session pins a consistent view of the engine's surrogate. All calls
-// through one session use the surrogate snapshot taken when the
-// session was created, even if TrainSurrogate or LoadSurrogate swap
-// the engine's model in the meantime — use it when a sequence of
-// queries (or a query plus PredictStatistic calls) must agree on one
-// model. Sessions are cheap and safe for concurrent use; create one
-// per request.
-type Session struct {
-	eng  *Engine
-	snap *snapshot
-}
-
-// Session snapshots the engine's current state: the surrogate (which
-// may be absent when none is trained yet) together with the data view
-// it serves over.
-func (e *Engine) Session() *Session {
-	return &Session{eng: e, snap: e.surrogate.Load()}
-}
-
-// HasSurrogate reports whether the session's snapshot holds a model.
-func (s *Session) HasSurrogate() bool { return s.snap.surr != nil }
-
-// SurrogateInfo returns the provenance of the session's pinned
-// snapshot; ok is false when the session was created with no
-// surrogate.
-func (s *Session) SurrogateInfo() (info SurrogateInfo, ok bool) {
-	if s.snap.surr == nil {
-		return SurrogateInfo{}, false
-	}
-	return s.snap.info, true
-}
-
-// PredictStatistic returns the snapshot surrogate's estimate for a
-// region.
-func (s *Session) PredictStatistic(center, halfSides []float64) (float64, error) {
-	if s.snap.surr == nil {
-		return 0, ErrNoSurrogate
-	}
-	return s.snap.surr.Predict(center, halfSides), nil
-}
-
-// PredictStatisticBatch is Engine.PredictStatisticBatch against the
-// session's pinned surrogate snapshot.
-func (s *Session) PredictStatisticBatch(rows [][]float64, out []float64) error {
-	if s.snap.surr == nil {
-		return ErrNoSurrogate
-	}
-	return predictBatch(s.snap.surr, s.eng.Dims(), rows, out)
-}
-
-// Find mines interesting regions using the session's surrogate
-// snapshot.
-func (s *Session) Find(q Query) (*Result, error) {
-	return s.FindContext(context.Background(), q)
-}
-
-// FindContext is Find with cancellation (see Engine.FindContext).
-func (s *Session) FindContext(ctx context.Context, q Query) (*Result, error) {
-	return findContext(ctx, s.eng, s.snap, q)
-}
-
-// FindTopK mines the k most extreme regions using the session's
-// surrogate snapshot.
-func (s *Session) FindTopK(q TopKQuery) (*Result, error) {
-	return s.FindTopKContext(context.Background(), q)
-}
-
-// FindTopKContext is FindTopK with cancellation (see
-// Engine.FindTopKContext).
-func (s *Session) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, error) {
-	return findTopKContext(ctx, s.eng, s.snap, q)
 }

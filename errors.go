@@ -17,10 +17,10 @@ var (
 
 	// ErrDimMismatch reports mismatched region dimensionality, e.g.
 	// loading a 3-dim surrogate into a 2-dim engine or passing a
-	// domain override of the wrong length.
+	// batch-prediction row of the wrong width.
 	ErrDimMismatch = errors.New("surf: dimension mismatch")
 
-	// ErrBadConfig reports an invalid Config or Option at Open time.
+	// ErrBadConfig reports an invalid Config at Open time.
 	ErrBadConfig = errors.New("surf: invalid configuration")
 
 	// ErrUnknownColumn reports a filter or target column name absent

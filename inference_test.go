@@ -66,17 +66,6 @@ func TestPredictStatisticBatch(t *testing.T) {
 	if err := eng.PredictStatisticBatch(bad, make([]float64, 8)); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("bad row width: got %v, want ErrDimMismatch", err)
 	}
-
-	sess := eng.Session()
-	sessOut := make([]float64, len(rows))
-	if err := sess.PredictStatisticBatch(rows, sessOut); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if sessOut[i] != out[i] {
-			t.Fatalf("session batch diverged at row %d", i)
-		}
-	}
 }
 
 // TestInferenceKernelSelection: an engine serves its surrogate through
@@ -126,9 +115,6 @@ func TestPredictStatisticBatchRequiresSurrogate(t *testing.T) {
 	}
 	if err := eng.PredictStatisticBatch(probeRows(4), make([]float64, 4)); !errors.Is(err, ErrNoSurrogate) {
 		t.Errorf("got %v, want ErrNoSurrogate", err)
-	}
-	if err := eng.Session().PredictStatisticBatch(probeRows(4), make([]float64, 4)); !errors.Is(err, ErrNoSurrogate) {
-		t.Errorf("session: got %v, want ErrNoSurrogate", err)
 	}
 }
 

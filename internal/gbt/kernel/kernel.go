@@ -4,7 +4,7 @@
 // surrogate prediction path. A Backend compiles a trained ensemble
 // (in the neutral Ensemble form) into an immutable Model serving
 // Predict1 and PredictBatch; every layer above — the core batch
-// objective, the GSO batch evaluators, Engine/Session prediction —
+// objective, the GSO batch evaluators, Engine prediction —
 // talks only to the Model interface, so swapping the traversal
 // strategy (or later, a SIMD or GPU implementation) never touches the
 // pipeline.

@@ -304,38 +304,25 @@ func TestSetDatasetValidation(t *testing.T) {
 	}
 }
 
-// TestSetDatasetDomain: an engine opened with WithDomain keeps its box
-// across SetDataset even when the new rows fall outside it, while an
-// engine opened without it re-derives the domain from the new rows.
+// TestSetDatasetDomain: SetDataset re-derives the domain from the new
+// rows, even when they fall outside the box the engine opened with.
 func TestSetDatasetDomain(t *testing.T) {
-	wide, err := NewDataset([]string{"x", "y"}, [][]float64{{-2, 0.5, 5}, {-1, 0.5, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{FilterColumns: []string{"x", "y"}, Statistic: Count}
-	check := func(t *testing.T, eng *Engine, wantMin, wantMax []float64) {
-		t.Helper()
+	t.Run("derived", func(t *testing.T) {
+		wide, err := NewDataset([]string{"x", "y"}, [][]float64{{-2, 0.5, 5}, {-1, 0.5, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := Open(crimeGrid(100, 4), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := eng.SetDataset(wide, 2); err != nil {
 			t.Fatal(err)
 		}
 		min, max := eng.Domain()
-		if !slices.Equal(min, wantMin) || !slices.Equal(max, wantMax) {
+		if wantMin, wantMax := []float64{-2, -1}, []float64{5, 3}; !slices.Equal(min, wantMin) || !slices.Equal(max, wantMax) {
 			t.Fatalf("domain after swap = %v..%v, want %v..%v", min, max, wantMin, wantMax)
 		}
-	}
-	t.Run("fixed", func(t *testing.T) {
-		eng, err := Open(crimeGrid(100, 4), cfg, WithDomain([]float64{0, 0}, []float64{1, 1}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, eng, []float64{0, 0}, []float64{1, 1})
-	})
-	t.Run("derived", func(t *testing.T) {
-		eng, err := Open(crimeGrid(100, 4), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, eng, []float64{-2, -1}, []float64{5, 3})
 	})
 }
 

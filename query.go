@@ -177,23 +177,26 @@ func (q TopKQuery) validate() error {
 }
 
 // validateTuning checks the optimizer knobs Query and TopKQuery
-// share. Zero means "default"; negative and non-finite values can
-// never be executed and are rejected up front with ErrBadQuery.
+// share. Zero means "default"; values that can never be executed —
+// negative or non-finite ones, a one-worm swarm, side fractions whose
+// effective (defaulted) bounds are inverted — are rejected up front
+// with ErrBadQuery.
 func validateTuning(c float64, glowworms, iterations, workers int, minSide, maxSide float64) error {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	lo, hi := withDefault(minSide, core.DefaultMinSideFrac), withDefault(maxSide, core.DefaultMaxSideFrac)
 	switch {
 	case !finite(c) || c < 0:
 		return fmt.Errorf("%w: region-size regularizer C %g", ErrBadQuery, c)
-	case glowworms < 0:
-		return fmt.Errorf("%w: Glowworms %d", ErrBadQuery, glowworms)
+	case glowworms < 0 || glowworms == 1:
+		return fmt.Errorf("%w: Glowworms %d (a swarm needs at least 2)", ErrBadQuery, glowworms)
 	case iterations < 0:
 		return fmt.Errorf("%w: Iterations %d", ErrBadQuery, iterations)
 	case workers < 0:
 		return fmt.Errorf("%w: Workers %d", ErrBadQuery, workers)
 	case !finite(minSide) || minSide < 0 || !finite(maxSide) || maxSide < 0:
 		return fmt.Errorf("%w: side fractions [%g, %g]", ErrBadQuery, minSide, maxSide)
-	case minSide > 0 && maxSide > 0 && maxSide < minSide:
-		return fmt.Errorf("%w: side fractions [%g, %g] inverted", ErrBadQuery, minSide, maxSide)
+	case lo > hi:
+		return fmt.Errorf("%w: side fractions [%g, %g] inverted", ErrBadQuery, lo, hi)
 	}
 	return nil
 }
@@ -282,15 +285,13 @@ func (e *Engine) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, err
 // batch Find and Engine.Stream share this one execution path, so a
 // fully drained stream and a Find call produce identical Results.
 // Batch callers skip the per-iteration telemetry and incumbent
-// sweeps (nobody consumes them) unless the engine has an observer —
-// both are passive, so results are identical either way.
+// sweeps (nobody consumes them) — both are passive, so results are
+// identical either way.
 //
 // Batch calls are also the result cache's insertion point: a repeat
 // of a recently answered query under the same surrogate snapshot is
 // served from cache without re-running the swarm. Streams are never
-// cached (their consumers want the live event feed), and an
-// engine-wide observer disables caching, which would silently skip
-// its telemetry.
+// cached (their consumers want the live event feed).
 func findContext(ctx context.Context, e *Engine, snap *snapshot, q Query) (*Result, error) {
 	// Validated here so the cache only ever keys executable queries;
 	// startStream validates again for its other callers (Stream,
@@ -298,14 +299,11 @@ func findContext(ctx context.Context, e *Engine, snap *snapshot, q Query) (*Resu
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	var key string
-	if e.cache.enabled() && e.observer == nil {
-		key = q.cacheKey(e.Dims(), snap)
-		if res, ok := e.cache.get(key); ok {
-			return res, nil
-		}
+	key := q.cacheKey(e.Dims(), snap)
+	if res, ok := e.cache.get(key); ok {
+		return res, nil
 	}
-	s, err := startStream(ctx, e, snap, q, e.observer != nil)
+	s, err := startStream(ctx, e, snap, q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -313,9 +311,7 @@ func findContext(ctx context.Context, e *Engine, snap *snapshot, q Query) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	if key != "" {
-		e.cache.put(key, res)
-	}
+	e.cache.put(key, res)
 	return res, nil
 }
 
@@ -325,14 +321,11 @@ func findTopKContext(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	var key string
-	if e.cache.enabled() && e.observer == nil {
-		key = q.cacheKey(e.Dims(), snap)
-		if res, ok := e.cache.get(key); ok {
-			return res, nil
-		}
+	key := q.cacheKey(e.Dims(), snap)
+	if res, ok := e.cache.get(key); ok {
+		return res, nil
 	}
-	s, err := startTopKStream(ctx, e, snap, q, e.observer != nil)
+	s, err := startTopKStream(ctx, e, snap, q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -340,9 +333,7 @@ func findTopKContext(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery
 	if err != nil {
 		return nil, err
 	}
-	if key != "" {
-		e.cache.put(key, res)
-	}
+	e.cache.put(key, res)
 	return res, nil
 }
 
@@ -379,7 +370,7 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events
 			return nil, err
 		}
 	}
-	return newStream(ctx, e.observer, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
+	return newStream(ctx, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
 		return runQuery(ctx, e, view, finder, statFn, q, emit, events)
 	}), nil
 }
@@ -394,7 +385,7 @@ func startTopKStream(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery
 		return nil, err
 	}
 	view := snap.view
-	return newStream(ctx, e.observer, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
+	return newStream(ctx, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
 		return runTopK(ctx, e, view, finder, q, emit, events)
 	}), nil
 }

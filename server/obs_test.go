@@ -2,9 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +104,10 @@ func TestRequestIDPropagation(t *testing.T) {
 // error from every route family.
 func TestErrorEnvelopeGolden(t *testing.T) {
 	ts, _ := testServer(t, false) // no surrogate → query routes fail
+	// A valid spec for the PUT row, so only its trailing bytes fail it.
+	csv := filepath.Join(t.TempDir(), "put.csv")
+	writeFile(t, csv, testDataset(t).WriteCSV)
+	spec := fmt.Sprintf(`{"data":%q,"filter_columns":["x","y"],"statistic":"count"}`, csv)
 
 	cases := []struct {
 		method, path, body string
@@ -116,6 +123,14 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		{http.MethodPut, "/v1/models/x", `{}`, http.StatusBadRequest, "bad_spec"},
 		{http.MethodDelete, "/v1/models/x", "", http.StatusNotFound, "unknown_dataset"},
 		{http.MethodPost, "/v1/datasets/x/append", `{"rows":[[0.5,0.5]]}`, http.StatusNotFound, "unknown_dataset"},
+		// Knobs only valid after defaulting (a one-worm swarm) are
+		// rejected before the surrogate lookup.
+		{http.MethodPost, "/v1/find", `{"threshold":1,"glowworms":1}`, http.StatusBadRequest, "bad_query"},
+		// Trailing whitespace is legal; any other trailing data is not.
+		{http.MethodPost, "/v1/find", "{\"threshold\":1}\n\t ", http.StatusConflict, "no_surrogate"},
+		{http.MethodPost, "/v1/topk", `{"k":1}{"k":-5}`, http.StatusBadRequest, "bad_query"},
+		{http.MethodGet, "/v1/stream?q=" + url.QueryEscape(`{"threshold":1}]]]`), "", http.StatusBadRequest, "bad_query"},
+		{http.MethodPut, "/v1/models/x", spec + `]]]`, http.StatusBadRequest, "bad_spec"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))

@@ -96,6 +96,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -352,9 +353,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // surf.ErrBadQuery for query bodies, registry.ErrBadSpec for model
 // specs — so the error code names what the body was meant to be.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, malformed error) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeOne(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)), v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return fmt.Errorf("%w: limit %d bytes", errBodyTooLarge, mbe.Limit)
@@ -369,9 +368,25 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, malformed error) 
 // typoed knob fails loudly instead of silently running a
 // default-valued query.
 func decodeStrict(data string, v any) error {
-	dec := json.NewDecoder(strings.NewReader(data))
+	return decodeOne(json.NewDecoder(strings.NewReader(data)), v)
+}
+
+// decodeOne decodes exactly one JSON value from dec into v, rejecting
+// unknown fields and anything but whitespace after the value — a body
+// like {"threshold":1}{"glowworms":-5} must not run the first query
+// and silently drop the rest.
+func decodeOne(dec *json.Decoder, v any) error {
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("another value follows")
+		}
+		return fmt.Errorf("trailing data after the JSON value: %w", err)
+	}
+	return nil
 }
 
 // findRequest is a Query plus the registry routing field.

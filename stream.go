@@ -28,7 +28,6 @@ import (
 type Stream struct {
 	cancel context.CancelFunc
 	events chan Event
-	obs    func(Event)
 
 	mu  sync.Mutex
 	res *Result
@@ -41,13 +40,12 @@ type Stream struct {
 const streamBuffer = 16
 
 // newStream launches run on its own goroutine and returns the stream
-// it feeds. run receives an emit callback that tees every event to
-// the engine observer and reports false once the consumer is gone;
-// the events it emits as EventRegion are collected so a cancelled run
-// can still surface the incumbents found so far.
-func newStream(ctx context.Context, obs func(Event), run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
+// it feeds. run receives an emit callback that reports false once the
+// consumer is gone; the events it emits as EventRegion are collected
+// so a cancelled run can still surface the incumbents found so far.
+func newStream(ctx context.Context, run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
 	sctx, cancel := context.WithCancel(ctx)
-	s := &Stream{cancel: cancel, events: make(chan Event, streamBuffer), obs: obs}
+	s := &Stream{cancel: cancel, events: make(chan Event, streamBuffer)}
 	go func() {
 		// Release the derived context once the run is over, whether
 		// or not anyone calls Close — a drained stream must not stay
@@ -81,12 +79,9 @@ func newStream(ctx context.Context, obs func(Event), run func(ctx context.Contex
 	return s
 }
 
-// emit tees ev to the engine observer and offers it to the consumer,
-// giving up once the stream's context is cancelled.
+// emit offers ev to the consumer, giving up once the stream's context
+// is cancelled.
 func (s *Stream) emit(ctx context.Context, ev Event) bool {
-	if s.obs != nil {
-		s.obs(ev)
-	}
 	select {
 	case s.events <- ev:
 		return true
@@ -173,24 +168,12 @@ func (e *Engine) Stream(ctx context.Context, q Query) (*Stream, error) {
 	return startStream(ctx, e, e.surrogate.Load(), q, true)
 }
 
-// Stream is Engine.Stream against the session's pinned surrogate
-// snapshot.
-func (s *Session) Stream(ctx context.Context, q Query) (*Stream, error) {
-	return startStream(ctx, s.eng, s.snap, q, true)
-}
-
 // StreamTopK starts a top-k query and returns its progressive result
 // stream. Top-k regions only materialize in the end-of-run swarm
 // clustering, so the stream carries EventIteration telemetry and the
 // terminal EventDone but no EventRegion incumbents.
 func (e *Engine) StreamTopK(ctx context.Context, q TopKQuery) (*Stream, error) {
 	return startTopKStream(ctx, e, e.surrogate.Load(), q, true)
-}
-
-// StreamTopK is Engine.StreamTopK against the session's pinned
-// surrogate snapshot.
-func (s *Session) StreamTopK(ctx context.Context, q TopKQuery) (*Stream, error) {
-	return startTopKStream(ctx, s.eng, s.snap, q, true)
 }
 
 // MultiResult is one query's outcome in a FindMany run.
@@ -219,12 +202,6 @@ func (e *Engine) FindMany(ctx context.Context, queries []Query) iter.Seq[MultiRe
 	return findMany(ctx, e, e.surrogate.Load(), queries)
 }
 
-// FindMany is Engine.FindMany against the session's pinned surrogate
-// snapshot.
-func (s *Session) FindMany(ctx context.Context, queries []Query) iter.Seq[MultiResult] {
-	return findMany(ctx, s.eng, s.snap, queries)
-}
-
 func findMany(ctx context.Context, e *Engine, snap *snapshot, queries []Query) iter.Seq[MultiResult] {
 	return func(yield func(MultiResult) bool) {
 		if len(queries) == 0 {
@@ -243,9 +220,9 @@ func findMany(ctx context.Context, e *Engine, snap *snapshot, queries []Query) i
 				for i := range idx {
 					// Drive the stream directly (not via findContext)
 					// so a cancelled query still surfaces its partial
-					// result alongside the error. Incumbent sweeps
-					// run only when the engine has an observer.
-					st, err := startStream(mctx, e, snap, queries[i], e.observer != nil)
+					// result alongside the error; nobody consumes the
+					// per-query events, so none are emitted.
+					st, err := startStream(mctx, e, snap, queries[i], false)
 					var res *Result
 					if err == nil {
 						res, err = st.Result()

@@ -12,10 +12,10 @@ import (
 
 // trainedEngine builds an engine over the clustered dataset with a
 // small trained surrogate — shared fixture for the streaming tests.
-func trainedEngine(t *testing.T, opts ...Option) *Engine {
+func trainedEngine(t *testing.T) *Engine {
 	t.Helper()
 	d := crimeGrid(3000, 5)
-	eng, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count, UseGridIndex: true}, opts...)
+	eng, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count, UseGridIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,31 +245,6 @@ func TestStreamEarlyBreak(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestWithObserver checks telemetry delivery without consuming any
-// stream: a batch Find must still feed the engine observer.
-func TestWithObserver(t *testing.T) {
-	var mu sync.Mutex
-	var iters, dones int
-	eng := trainedEngine(t, WithObserver(func(ev Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch ev.(type) {
-		case EventIteration:
-			iters++
-		case EventDone:
-			dones++
-		}
-	}))
-	if _, err := eng.Find(hotspotQuery()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if iters == 0 || dones != 1 {
-		t.Errorf("observer saw %d iterations, %d dones; want >0, 1", iters, dones)
-	}
-}
-
 // TestFindManyConcurrentTrain drives FindMany while the surrogate is
 // retrained concurrently: every query must complete against the
 // snapshot pinned at call time (run under -race in CI).
@@ -409,6 +384,9 @@ func TestQueryValidation(t *testing.T) {
 		{Threshold: 1, KDESample: -1},
 		{Threshold: 1, MinSideFrac: -0.1},
 		{Threshold: 1, MinSideFrac: 0.2, MaxSideFrac: 0.1},
+		{Threshold: 1, Glowworms: 1},
+		{Threshold: 1, MinSideFrac: 0.5},   // above the default max 0.15
+		{Threshold: 1, MaxSideFrac: 0.005}, // below the default min 0.01
 	}
 	for i, q := range bad {
 		if _, err := eng.Find(q); !errors.Is(err, ErrBadQuery) {
@@ -429,6 +407,9 @@ func TestQueryValidation(t *testing.T) {
 		{K: 2, C: math.Inf(1)},
 		{K: 2, Workers: -1},
 		{K: 2, MinSideFrac: 0.5, MaxSideFrac: 0.2},
+		{K: 2, Glowworms: 1},
+		{K: 2, MinSideFrac: 0.5},
+		{K: 2, MaxSideFrac: 0.005},
 	}
 	for i, q := range badK {
 		if _, err := eng.FindTopK(q); !errors.Is(err, ErrBadQuery) {
@@ -448,32 +429,4 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := cold.Find(Query{Threshold: math.NaN()}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("cold engine err = %v, want ErrBadQuery", err)
 	}
-}
-
-// TestSessionStream pins Session.Stream to the snapshot taken at
-// session creation, not the engine's current surrogate.
-func TestSessionStream(t *testing.T) {
-	eng := trainedEngine(t)
-	sess := eng.Session()
-	before, err := sess.Find(hotspotQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Swap the engine's model; the session must not notice.
-	wl, err := eng.GenerateWorkload(200, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.TrainSurrogate(wl, TrainOptions{Trees: 10}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := sess.Stream(context.Background(), hotspotQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := st.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, before, after)
 }
