@@ -12,6 +12,7 @@ all: build test lint
 build:
 	$(GO) build ./...
 	cd lint && $(GO) build ./...
+	cd perfbench && $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -49,7 +50,7 @@ vulncheck:
 
 # fuzz-smoke mirrors the CI randomized pass over the CSV readers, the
 # evaluator parity differential, the inference-kernel parity
-# differential, the living-store append parity differential and the
+# differential (binned vs the scalar reference), the living-store append parity differential and the
 # swarm parity differential (the optimized GSO loop vs its reference);
 # crashers minimize into testdata/fuzz corpus files, which are
 # checked in.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"surf/internal/gbt"
@@ -14,15 +13,15 @@ import (
 )
 
 // Inference benchmark mode (-json): measures the surrogate inference
-// hot path — row-at-a-time Model.Predict1 versus each registered
-// inference backend's compiled PredictBatch — across swarm-sized
-// batches and writes the trajectories to BENCH_inference.json. Every
-// backend's outputs are first asserted bit-identical to the naive
-// walk, so the numbers always describe equivalent computations. CI
-// runs this on every push, uploads the file as an artifact and (with
-// -min-speedup) gates on the default backend's batch-64 speedup.
+// hot path — row-at-a-time Model.Predict1 versus the production
+// compiled model's PredictBatch — across swarm-sized batches and writes
+// the trajectory to BENCH_inference.json. The compiled outputs are
+// first asserted bit-identical to the naive walk, so the numbers always
+// describe equivalent computations. CI runs this on every push, uploads
+// the file as an artifact and (with -min-speedup) gates on the batch-64
+// speedup.
 
-// inferencePoint is one batch-size measurement for one backend.
+// inferencePoint is one batch-size measurement.
 type inferencePoint struct {
 	Batch           int     `json:"batch"`
 	NsPerRowWalk    float64 `json:"ns_per_row_walk"`
@@ -32,31 +31,20 @@ type inferencePoint struct {
 	Speedup         float64 `json:"speedup"`
 }
 
-// kernelTrajectory is one backend's full measurement series.
-type kernelTrajectory struct {
+// inferenceReport is the BENCH_inference.json payload. Kernel names
+// the compiled encoding measured (always binned: a fallback to scalar
+// on the benchmark ensemble fails the run).
+type inferenceReport struct {
+	Name        string           `json:"name"`
+	GoVersion   string           `json:"go_version"`
+	GOARCH      string           `json:"goarch"`
+	Trees       int              `json:"trees"`
+	Nodes       int              `json:"nodes"`
+	Features    int              `json:"features"`
 	Kernel      string           `json:"kernel"`
 	Trajectory  []inferencePoint `json:"trajectory"`
 	SpeedupAt64 float64          `json:"speedup_at_64"`
 	MaxSpeedup  float64          `json:"max_speedup"`
-}
-
-// inferenceReport is the BENCH_inference.json payload. The top-level
-// Trajectory/SpeedupAt64/MaxSpeedup fields mirror the gate backend's
-// series (the process-default kernel when measured, else the first
-// measured one) so existing consumers keep working; Kernels carries
-// every backend measured in this run.
-type inferenceReport struct {
-	Name        string             `json:"name"`
-	GoVersion   string             `json:"go_version"`
-	GOARCH      string             `json:"goarch"`
-	Trees       int                `json:"trees"`
-	Nodes       int                `json:"nodes"`
-	Features    int                `json:"features"`
-	GateKernel  string             `json:"gate_kernel"`
-	Kernels     []kernelTrajectory `json:"kernels"`
-	Trajectory  []inferencePoint   `json:"trajectory"`
-	SpeedupAt64 float64            `json:"speedup_at_64"`
-	MaxSpeedup  float64            `json:"max_speedup"`
 }
 
 // inferenceBatchSizes are the measured batch sizes; 64 is the smallest
@@ -73,28 +61,19 @@ var (
 )
 
 // runInferenceBench trains a deterministic ensemble, measures the walk
-// and every selected backend's batch path, and writes
-// BENCH_inference.json under out. kernels is a comma-separated backend
-// list ("" = all registered). A minSpeedup > 0 turns the gate
-// backend's batch-64 speedup into a hard gate.
-func runInferenceBench(out string, minSpeedup float64, kernels string) error {
-	names, err := selectKernels(kernels)
+// and the compiled batch path, and writes BENCH_inference.json under
+// out. A minSpeedup > 0 turns the batch-64 speedup into a hard gate.
+func runInferenceBench(out string, minSpeedup float64) error {
+	rep, err := measureInference()
 	if err != nil {
 		return err
 	}
-	rep, err := measureInference(names)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("inference benchmark: %d trees, %d nodes, %d features (%s %s)\n",
-		rep.Trees, rep.Nodes, rep.Features, rep.GoVersion, rep.GOARCH)
-	for _, kt := range rep.Kernels {
-		fmt.Printf("kernel %s:\n", kt.Kernel)
-		fmt.Printf("%8s  %14s  %14s  %14s  %8s\n", "batch", "walk ns/row", "batch ns/row", "rows/s", "speedup")
-		for _, p := range kt.Trajectory {
-			fmt.Printf("%8d  %14.0f  %14.0f  %14.0f  %7.2fx\n",
-				p.Batch, p.NsPerRowWalk, p.NsPerRowBatch, p.RowsPerSecBatch, p.Speedup)
-		}
+	fmt.Printf("inference benchmark: %d trees, %d nodes, %d features, kernel %s (%s %s)\n",
+		rep.Trees, rep.Nodes, rep.Features, rep.Kernel, rep.GoVersion, rep.GOARCH)
+	fmt.Printf("%8s  %14s  %14s  %14s  %8s\n", "batch", "walk ns/row", "batch ns/row", "rows/s", "speedup")
+	for _, p := range rep.Trajectory {
+		fmt.Printf("%8d  %14.0f  %14.0f  %14.0f  %7.2fx\n",
+			p.Batch, p.NsPerRowWalk, p.NsPerRowBatch, p.RowsPerSecBatch, p.Speedup)
 	}
 
 	if out != "" {
@@ -113,45 +92,34 @@ func runInferenceBench(out string, minSpeedup float64, kernels string) error {
 	}
 	if minSpeedup > 0 && rep.SpeedupAt64 < minSpeedup {
 		return fmt.Errorf("%s batch-64 speedup %.2fx below required %.2fx",
-			rep.GateKernel, rep.SpeedupAt64, minSpeedup)
+			rep.Kernel, rep.SpeedupAt64, minSpeedup)
 	}
 	return nil
 }
 
-// selectKernels parses the -kernel flag: a comma-separated list of
-// registered backend names, or "" for all of them.
-func selectKernels(flagVal string) ([]string, error) {
-	if flagVal == "" {
-		return kernel.Names(), nil
-	}
-	var names []string
-	for _, n := range strings.Split(flagVal, ",") {
-		n = strings.TrimSpace(n)
-		if _, ok := kernel.Lookup(n); !ok {
-			return nil, fmt.Errorf("unknown inference kernel %q (have %s)",
-				n, strings.Join(kernel.Names(), ", "))
-		}
-		names = append(names, n)
-	}
-	return names, nil
-}
-
-// measureInference builds the benchmark ensemble, proves every
-// backend's outputs bit-identical to the naive walk, and collects the
-// per-backend trajectories.
-func measureInference(names []string) (*inferenceReport, error) {
+// measureInference builds the benchmark ensemble, compiles it the way
+// every engine does, proves the compiled outputs bit-identical to the
+// naive walk, and collects the trajectory.
+func measureInference() (*inferenceReport, error) {
 	maxBatch := inferenceBatchSizes[len(inferenceBatchSizes)-1]
 	m, probes, err := gbt.BenchEnsemble(benchTrees, benchDepth, maxBatch)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, maxBatch)
+	c := m.Compile()
+	if c.Name() != kernel.BinnedName {
+		return nil, fmt.Errorf("benchmark ensemble fell back to the %s kernel", c.Name())
+	}
 
-	// The naive walk is the shared reference: measured once per batch
-	// size, and the correctness bar every backend must clear.
-	want := make([]float64, maxBatch)
+	// Bit-identity against the walk before any timing: a compiled model
+	// that diverges would make the speedup meaningless.
+	out := make([]float64, maxBatch)
+	c.PredictBatch(probes, out)
 	for i, row := range probes {
-		want[i] = m.Predict1(row)
+		if w := m.Predict1(row); out[i] != w {
+			return nil, fmt.Errorf("kernel %s diverges from the model walk at row %d: %v != %v",
+				c.Name(), i, out[i], w)
+		}
 	}
 
 	rep := &inferenceReport{
@@ -159,80 +127,42 @@ func measureInference(names []string) (*inferenceReport, error) {
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
 		Trees:     m.NumTrees(),
+		Nodes:     m.Ensemble().NumNodes(),
 		Features:  m.NumFeatures(),
+		Kernel:    c.Name(),
 	}
 	var sink float64
-	walkNs := make(map[int]float64, len(inferenceBatchSizes))
-	for _, batch := range inferenceBatchSizes {
+	walkNs := make([]float64, len(inferenceBatchSizes))
+	for i, batch := range inferenceBatchSizes {
 		rows := probes[:batch]
-		walkNs[batch] = measureNs(func() {
+		walkNs[i] = measureNs(func() {
 			for _, row := range rows {
 				sink = m.Predict1(row)
 			}
 		}) / float64(batch)
 	}
-
-	gateName := kernel.Default().Name()
-	for _, name := range names {
-		b, ok := kernel.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown inference kernel %q", name)
-		}
-		c := m.CompileWith(b)
-		if c.Name() != name {
-			return nil, fmt.Errorf("kernel %s fell back to %s on the benchmark ensemble", name, c.Name())
-		}
-		rep.Nodes = c.NumNodes()
-
-		// Bit-identity against the walk before any timing: a backend
-		// that diverges would make the speedup meaningless.
-		c.PredictBatch(probes, out)
-		for i := range out {
-			if out[i] != want[i] {
-				return nil, fmt.Errorf("kernel %s diverges from the model walk at row %d: %v != %v",
-					name, i, out[i], want[i])
-			}
-		}
-
-		kt := kernelTrajectory{Kernel: name}
-		for _, batch := range inferenceBatchSizes {
-			rows := probes[:batch]
-			batchNs := measureNs(func() {
-				c.PredictBatch(rows, out[:batch])
-			}) / float64(batch)
-			wNs := walkNs[batch]
-			pt := inferencePoint{
-				Batch:           batch,
-				NsPerRowWalk:    wNs,
-				NsPerRowBatch:   batchNs,
-				RowsPerSecWalk:  1e9 / wNs,
-				RowsPerSecBatch: 1e9 / batchNs,
-				Speedup:         wNs / batchNs,
-			}
-			kt.Trajectory = append(kt.Trajectory, pt)
-			if batch == 64 {
-				kt.SpeedupAt64 = pt.Speedup
-			}
-			if pt.Speedup > kt.MaxSpeedup {
-				kt.MaxSpeedup = pt.Speedup
-			}
-		}
-		rep.Kernels = append(rep.Kernels, kt)
-	}
 	_ = sink
-
-	// The gate backend's series doubles as the report's top level: the
-	// process default when measured, the first series otherwise.
-	gate := rep.Kernels[0]
-	for _, kt := range rep.Kernels {
-		if kt.Kernel == gateName {
-			gate = kt
+	for i, batch := range inferenceBatchSizes {
+		rows := probes[:batch]
+		batchNs := measureNs(func() {
+			c.PredictBatch(rows, out[:batch])
+		}) / float64(batch)
+		pt := inferencePoint{
+			Batch:           batch,
+			NsPerRowWalk:    walkNs[i],
+			NsPerRowBatch:   batchNs,
+			RowsPerSecWalk:  1e9 / walkNs[i],
+			RowsPerSecBatch: 1e9 / batchNs,
+			Speedup:         walkNs[i] / batchNs,
+		}
+		rep.Trajectory = append(rep.Trajectory, pt)
+		if batch == 64 {
+			rep.SpeedupAt64 = pt.Speedup
+		}
+		if pt.Speedup > rep.MaxSpeedup {
+			rep.MaxSpeedup = pt.Speedup
 		}
 	}
-	rep.GateKernel = gate.Kernel
-	rep.Trajectory = gate.Trajectory
-	rep.SpeedupAt64 = gate.SpeedupAt64
-	rep.MaxSpeedup = gate.MaxSpeedup
 	return rep, nil
 }
 

@@ -12,10 +12,9 @@
 //	surf-bench -train-json -out results -min-speedup 1.3
 //
 // The -json mode skips the paper experiments and instead benchmarks
-// the surrogate inference hot path: row-at-a-time walking versus each
-// registered inference backend's compiled batch prediction (-kernel
-// narrows the backend list), asserting every backend bit-identical to
-// the walk and writing the per-backend trajectories to
+// the surrogate inference hot path: row-at-a-time walking versus the
+// production compiled model's batch prediction, asserting the two
+// bit-identical and writing the trajectory to
 // <out>/BENCH_inference.json.
 // The -train-json mode benchmarks the training hot path (the parallel
 // gbt pipeline at Workers=1 vs Workers=NumCPU), writing
@@ -46,7 +45,6 @@ func main() {
 		jsonBench  = flag.Bool("json", false, "run the inference benchmark and write BENCH_inference.json instead of experiments")
 		trainBench = flag.Bool("train-json", false, "run the training benchmark and write BENCH_training.json instead of experiments")
 		minSpeedup = flag.Float64("min-speedup", 0, "with -json/-train-json: fail unless the measured speedup reaches this factor (0 disables)")
-		kernels    = flag.String("kernel", "", "with -json: comma-separated inference backends to measure (default: all registered)")
 	)
 	flag.Parse()
 	if *list {
@@ -57,7 +55,7 @@ func main() {
 	}
 	if *jsonBench || *trainBench {
 		if *jsonBench {
-			if err := runInferenceBench(*out, *minSpeedup, *kernels); err != nil {
+			if err := runInferenceBench(*out, *minSpeedup); err != nil {
 				cli.Exit("surf-bench", err)
 			}
 		}

@@ -58,7 +58,7 @@ func shrinkBench(t *testing.T) {
 func TestInferenceBenchWritesJSON(t *testing.T) {
 	shrinkBench(t)
 	dir := t.TempDir()
-	if err := runInferenceBench(dir, 0, ""); err != nil {
+	if err := runInferenceBench(dir, 0); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "BENCH_inference.json"))
@@ -72,22 +72,13 @@ func TestInferenceBenchWritesJSON(t *testing.T) {
 	if rep.Name != "inference" || rep.Trees != 20 || len(rep.Trajectory) != 2 {
 		t.Fatalf("unexpected report: %+v", rep)
 	}
-	// Default run measures every registered backend and names the one
-	// the gate applies to.
-	if len(rep.Kernels) != len(kernel.Names()) || rep.GateKernel == "" {
-		t.Fatalf("kernels %d (want %d), gate %q", len(rep.Kernels), len(kernel.Names()), rep.GateKernel)
+	// The benchmark measures the production compile: the binned kernel.
+	if rep.Kernel != kernel.BinnedName || rep.Nodes <= 0 || rep.Features <= 0 {
+		t.Fatalf("kernel %q, nodes %d, features %d", rep.Kernel, rep.Nodes, rep.Features)
 	}
-	for _, kt := range rep.Kernels {
-		if kt.Kernel == "" || len(kt.Trajectory) != 2 {
-			t.Fatalf("incomplete kernel series: %+v", kt)
-		}
-		for _, p := range kt.Trajectory {
-			if p.NsPerRowWalk <= 0 || p.NsPerRowBatch <= 0 || p.Speedup <= 0 || p.RowsPerSecBatch <= 0 {
-				t.Fatalf("non-positive measurement for %s: %+v", kt.Kernel, p)
-			}
-		}
-		if kt.SpeedupAt64 != kt.Trajectory[1].Speedup {
-			t.Errorf("%s: speedup_at_64 %v != trajectory batch-64 %v", kt.Kernel, kt.SpeedupAt64, kt.Trajectory[1].Speedup)
+	for _, p := range rep.Trajectory {
+		if p.NsPerRowWalk <= 0 || p.NsPerRowBatch <= 0 || p.Speedup <= 0 || p.RowsPerSecBatch <= 0 {
+			t.Fatalf("non-positive measurement: %+v", p)
 		}
 	}
 	if rep.SpeedupAt64 != rep.Trajectory[1].Speedup {
@@ -95,32 +86,10 @@ func TestInferenceBenchWritesJSON(t *testing.T) {
 	}
 }
 
-func TestInferenceBenchKernelFlag(t *testing.T) {
-	shrinkBench(t)
-	dir := t.TempDir()
-	if err := runInferenceBench(dir, 0, kernel.ScalarName); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_inference.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep inferenceReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Kernels) != 1 || rep.Kernels[0].Kernel != kernel.ScalarName || rep.GateKernel != kernel.ScalarName {
-		t.Fatalf("unexpected kernel selection: %+v", rep.Kernels)
-	}
-	if err := runInferenceBench("", 0, "simd9000"); err == nil {
-		t.Error("expected error for unknown -kernel")
-	}
-}
-
 func TestInferenceBenchSpeedupGate(t *testing.T) {
 	shrinkBench(t)
 	// An impossible bar must fail, and must do so via error (not exit).
-	if err := runInferenceBench("", 1e9, ""); err == nil {
+	if err := runInferenceBench("", 1e9); err == nil {
 		t.Error("expected gate failure for absurd -min-speedup")
 	}
 }

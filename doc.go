@@ -147,17 +147,17 @@
 //
 // Every surrogate prediction — the swarm's batch objective,
 // PredictStatistic(Batch), FindMany — is served by a compiled
-// inference kernel. Engines always compile with "binned", which
-// quantizes split thresholds into per-feature cut ranks at compile
-// time, pre-bins each row's values into uint16 bin indices with one
-// branchless binary search per feature, and walks 8-byte
-// integer-comparison nodes in L1-sized row tiles. "scalar", the
+// inference kernel. One compile path builds it: the "binned"
+// encoding, which quantizes split thresholds into per-feature cut
+// ranks at compile time, pre-bins each row's values into uint16 bin
+// indices with one branchless binary search per feature, and walks
+// 8-byte integer-comparison nodes in L1-sized row tiles. "scalar", the
 // portable flat-node float64 traversal, is the automatic fallback for
 // an ensemble binned cannot represent (the binned encoding bounds
 // features and distinct cuts per feature at 65535) and the oracle the
 // parity tests compare against. Binning is by rank, not by rounded
-// value, so both backends predict bit-for-bit identically (a
-// differential fuzz target holds them to that contract).
+// value, so both encodings predict bit-for-bit identically (a
+// differential fuzz target compares the two compilers).
 // SurrogateInfo.Kernel reports the backend actually serving the
 // current snapshot, so a fallback is visible. Artifacts carry weights,
 // not a backend — a loaded artifact is recompiled on load.

@@ -396,10 +396,10 @@ type SurrogateInfo struct {
 	Lambda       float64
 	HyperTuned   bool
 	// Kernel names the inference backend serving this snapshot
-	// ("scalar", "binned"). It is a property of the compiled model,
-	// not of the trained weights: artifacts restore compiled with the
-	// default backend, and an ensemble that backend cannot represent
-	// reports the scalar fallback actually serving it.
+	// ("binned", or "scalar"). It is a property of the compiled model,
+	// not of the trained weights: artifacts restore compiled binned,
+	// and an ensemble the binned encoding cannot represent reports the
+	// scalar fallback actually serving it.
 	Kernel string
 	// DataVersion is the version of the dataset this snapshot serves
 	// over (1 = the dataset the engine opened with; each SetDataset
@@ -427,11 +427,16 @@ func (e *Engine) SurrogateInfo() (info SurrogateInfo, ok bool) {
 }
 
 // PredictStatistic returns the surrogate's estimate for a region
-// without touching the data.
+// without touching the data. center and halfSides must each have
+// Dims() entries; other lengths return a wrapped ErrDimMismatch.
 func (e *Engine) PredictStatistic(center, halfSides []float64) (float64, error) {
 	s := e.surrogate.Load().surrogate()
 	if s == nil {
 		return 0, ErrNoSurrogate
+	}
+	if d := e.Dims(); len(center) != d || len(halfSides) != d {
+		return 0, fmt.Errorf("%w: region of %d+%d coordinates for engine of dimension %d",
+			ErrDimMismatch, len(center), len(halfSides), d)
 	}
 	return s.Predict(center, halfSides), nil
 }

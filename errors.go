@@ -16,8 +16,9 @@ var (
 	ErrNoSurrogate = errors.New("surf: no surrogate trained")
 
 	// ErrDimMismatch reports mismatched region dimensionality, e.g.
-	// loading a 3-dim surrogate into a 2-dim engine or passing a
-	// batch-prediction row of the wrong width.
+	// loading a 3-dim surrogate into a 2-dim engine, or passing
+	// PredictStatistic a center or half-sides slice, or
+	// PredictStatisticBatch a row, of the wrong width.
 	ErrDimMismatch = errors.New("surf: dimension mismatch")
 
 	// ErrBadConfig reports an invalid Config at Open time.

@@ -66,42 +66,36 @@ func TestPredictStatisticBatch(t *testing.T) {
 	if err := eng.PredictStatisticBatch(bad, make([]float64, 8)); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("bad row width: got %v, want ErrDimMismatch", err)
 	}
+	// The single-region form reports the same mistake as an error, not
+	// a panic.
+	for _, c := range []struct{ center, halfSides []float64 }{
+		{[]float64{0.5}, []float64{0.1, 0.1}},
+		{[]float64{0.5, 0.5}, []float64{0.1, 0.1, 0.1}},
+		{nil, nil},
+	} {
+		if _, err := eng.PredictStatistic(c.center, c.halfSides); !errors.Is(err, ErrDimMismatch) {
+			t.Errorf("PredictStatistic(%v, %v): got %v, want ErrDimMismatch", c.center, c.halfSides, err)
+		}
+	}
 }
 
 // TestInferenceKernelSelection: an engine serves its surrogate through
-// the default backend and reports it in SurrogateInfo, and every
-// registered backend compiles the same ensemble to bit-identical
-// predictions — the contract that lets the engine always compile with
-// the default backend while scalar stays the fallback and the
-// reference.
+// the binned kernel, reports it in SurrogateInfo, and predicts
+// bit-identically to the trained model's own tree walk.
 func TestInferenceKernelSelection(t *testing.T) {
-	names := kernel.Names()
-	if len(names) < 2 {
-		t.Fatalf("kernel.Names() = %v, want scalar and binned at least", names)
-	}
 	eng := inferenceEngine(t)
-	if info, _ := eng.SurrogateInfo(); info.Kernel != kernel.DefaultName {
-		t.Fatalf("default engine serves %q, want %q", info.Kernel, kernel.DefaultName)
+	if info, _ := eng.SurrogateInfo(); info.Kernel != kernel.BinnedName {
+		t.Fatalf("engine serves %q, want %q", info.Kernel, kernel.BinnedName)
 	}
 	rows := probeRows(300)
-	want := make([]float64, len(rows))
-	if err := eng.PredictStatisticBatch(rows, want); err != nil {
+	got := make([]float64, len(rows))
+	if err := eng.PredictStatisticBatch(rows, got); err != nil {
 		t.Fatal(err)
 	}
 	model := eng.surrogate.Load().surr.Model()
-	for _, name := range names {
-		b, _ := kernel.Lookup(name)
-		km := model.CompileWith(b)
-		if km.Name() != name {
-			t.Fatalf("backend %s compiled as %q", name, km.Name())
-		}
-		got := make([]float64, len(rows))
-		km.PredictBatch(rows, got)
-		for j := range rows {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("backend %s diverges from the engine at row %d: %v != %v",
-					name, j, got[j], want[j])
-			}
+	for j, row := range rows {
+		if want := model.Predict1(row); math.Float64bits(got[j]) != math.Float64bits(want) {
+			t.Fatalf("engine diverges from the model walk at row %d: %v != %v", j, got[j], want)
 		}
 	}
 }

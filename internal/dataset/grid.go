@@ -20,6 +20,11 @@ import (
 type GridIndex struct {
 	d    *Dataset
 	spec Spec
+	// filters[j] is the data column of filter dimension j, and target
+	// the target column (nil when the statistic needs none); both are
+	// resolved once here so evaluations allocate nothing for them.
+	filters [][]float64
+	target  []float64
 	// res is the number of cells per dimension.
 	res int
 	// domain bounds of the filter columns.
@@ -48,8 +53,13 @@ type GridIndex struct {
 // reduced per dimension.
 const maxGridCells = 1 << 20
 
+// maxGridDims is the most filter dimensions a grid index takes: two
+// cells per dimension already reach maxGridCells. It also sizes the
+// per-evaluation cell-coordinate arrays, which stay on the stack.
+const maxGridDims = 20
+
 // ErrGridTooWide reports a spec with so many filter dimensions that
-// even two cells per dimension exceed maxGridCells (d > 20).
+// even two cells per dimension exceed maxGridCells (d > maxGridDims).
 var ErrGridTooWide = errors.New("dataset: too many filter dimensions for a grid index")
 
 // NewGridIndex builds a grid index with the given per-dimension
@@ -60,7 +70,7 @@ func NewGridIndex(d *Dataset, spec Spec, res int) (*GridIndex, error) {
 		return nil, err
 	}
 	dims := len(spec.FilterCols)
-	if pow(2, dims) > maxGridCells {
+	if dims > maxGridDims {
 		return nil, fmt.Errorf("%w: %d", ErrGridTooWide, dims)
 	}
 	if res <= 0 {
@@ -77,7 +87,13 @@ func NewGridIndex(d *Dataset, spec Spec, res int) (*GridIndex, error) {
 	for pow(res, dims) > maxGridCells && res > 2 {
 		res--
 	}
-	g := &GridIndex{d: d, spec: spec, res: res}
+	g := &GridIndex{d: d, spec: spec, res: res, filters: make([][]float64, dims)}
+	for j, c := range spec.FilterCols {
+		g.filters[j] = d.cols[c]
+	}
+	if spec.Stat.NeedsTarget() {
+		g.target = d.cols[spec.TargetCol]
+	}
 	g.domain = d.Domain(spec.FilterCols)
 	g.width = make([]float64, dims)
 	g.bounds = make([][]float64, dims)
@@ -107,21 +123,17 @@ func NewGridIndex(d *Dataset, spec Spec, res int) (*GridIndex, error) {
 		g.minv[c] = math.Inf(1)
 		g.maxv[c] = math.Inf(-1)
 	}
-	var target []float64
-	if spec.Stat.NeedsTarget() {
-		target = d.cols[spec.TargetCol]
-	}
 	coord := make([]int, dims)
 	for i := 0; i < d.Len(); i++ {
-		for j, ci := range spec.FilterCols {
-			coord[j] = g.cellOf(d.cols[ci][i], j)
+		for j, col := range g.filters {
+			coord[j] = g.cellOf(col[i], j)
 		}
 		id := g.cellID(coord)
 		g.rows[id] = append(g.rows[id], int32(i))
 		g.count[id]++
 		var tv float64
-		if target != nil {
-			tv = target[i]
+		if g.target != nil {
+			tv = g.target[i]
 		}
 		g.sum[id] += tv
 		if tv < g.minv[id] {
@@ -200,9 +212,10 @@ func (g *GridIndex) Evaluate(region geom.Rect) (float64, int) {
 	}
 	customFn, isCustom := stats.CustomFunc(g.spec.Stat)
 
-	// Cell coordinate range overlapped by the region.
-	lo := make([]int, dims)
-	hi := make([]int, dims)
+	// Cell coordinate range overlapped by the region, on fixed-size
+	// stack arrays: NewGridIndex caps dims at maxGridDims.
+	var loBuf, hiBuf, coordBuf [maxGridDims]int
+	lo, hi := loBuf[:dims], hiBuf[:dims]
 	for j := 0; j < dims; j++ {
 		if region.Max[j] < g.domain.Min[j] || region.Min[j] > g.domain.Max[j] {
 			// Custom statistics define their own empty-set value, so
@@ -217,29 +230,22 @@ func (g *GridIndex) Evaluate(region geom.Rect) (float64, int) {
 		hi[j] = g.cellOf(region.Max[j], j)
 	}
 
+	coord := coordBuf[:dims]
 	if isCustom {
-		return g.evaluateCustom(region, lo, hi, customFn)
+		return g.evaluateCustom(region, lo, hi, coord, customFn)
 	}
 	decomposable := g.spec.Stat.Decomposable()
 	var acc stats.Accumulator
 	if !decomposable {
 		acc = g.spec.Stat.NewAccumulator()
 	}
-	var target []float64
-	if g.spec.Stat.NeedsTarget() {
-		target = g.d.cols[g.spec.TargetCol]
-	}
-	filters := make([][]float64, dims)
-	for j, c := range g.spec.FilterCols {
-		filters[j] = g.d.cols[c]
-	}
+	filters, target := g.filters, g.target
 
 	// Merged partials for the decomposable path.
 	var mCount, mNonzero int
 	var mSum float64
 	mMin, mMax := math.Inf(1), math.Inf(-1)
 
-	coord := make([]int, dims)
 	copy(coord, lo)
 	for {
 		id := g.cellID(coord)
@@ -321,15 +327,11 @@ func (g *GridIndex) Evaluate(region geom.Rect) (float64, int) {
 // per-row tests) and applies the registered row function. Custom
 // statistics are non-decomposable, so the pre-merged partials are
 // unusable; the row lists still restrict the scan to overlapping
-// cells.
-func (g *GridIndex) evaluateCustom(region geom.Rect, lo, hi []int, fn stats.RowFunc) (float64, int) {
+// cells. coord is the caller's scratch for the cell cursor.
+func (g *GridIndex) evaluateCustom(region geom.Rect, lo, hi, coord []int, fn stats.RowFunc) (float64, int) {
 	dims := g.Dims()
-	filters := make([][]float64, dims)
-	for j, c := range g.spec.FilterCols {
-		filters[j] = g.d.cols[c]
-	}
+	filters := g.filters
 	var idx []int
-	coord := make([]int, dims)
 	copy(coord, lo)
 	for {
 		id := g.cellID(coord)

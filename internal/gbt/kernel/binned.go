@@ -1,4 +1,4 @@
-//surf:deterministic (every backend must predict bit-identically to the trained ensemble)
+//surf:deterministic (both encodings must predict bit-identically to the trained ensemble)
 
 package kernel
 
@@ -8,37 +8,8 @@ import (
 	"sync"
 )
 
-// BinnedName is the quantized fast-path backend's registry key.
+// BinnedName names the quantized fast-path encoding.
 const BinnedName = "binned"
-
-func init() { Register(binnedBackend{}) }
-
-// binnedBackend compiles the pre-binned uint16 fast path. At compile
-// time every feature's distinct split thresholds are collected into a
-// sorted cut array and each node's threshold is replaced by its rank
-// in that array. At predict time each row is binned once — a
-// branchless binary search per feature maps the float64 value v to
-// binOf(v) = |{c ∈ cuts : c < v}| — and tree traversal then compares
-// small integers instead of float64s against nodes packed into 8
-// bytes, so twice as many nodes fit per cache line as in the scalar
-// layout and the per-node float load disappears.
-//
-// Binning by rank (not by rounded value) preserves the exact ≤/>
-// partition each float64 threshold induces: for sorted distinct cuts,
-// v ≤ cuts[k] ⟺ binOf(v) ≤ k for every v including ±Inf, so the
-// integer comparison replays the float comparison decision-for-
-// decision. NaN fails every ≤ test in the float walk and is mapped to
-// the past-the-end bin, which exceeds every rank — NaN rows go right
-// in both worlds. Predictions are therefore bit-identical to the
-// scalar backend's.
-//
-// The uint16 encoding bounds what one model can hold: at most 65535
-// features and 65535 distinct cuts per feature. Compile returns an
-// error beyond those limits and the Compile helper falls back to the
-// scalar backend.
-type binnedBackend struct{}
-
-func (binnedBackend) Name() string { return BinnedName }
 
 // binnedLimit caps feature indices (0xFFFF is the leaf sentinel) and
 // distinct cuts per feature (bins run 0..len(cuts) inclusive).
@@ -63,6 +34,28 @@ type bnode struct {
 // streams over it.
 const tileRows = 256
 
+// binnedModel is the pre-binned uint16 fast path. At compile time
+// every feature's distinct split thresholds are collected into a
+// sorted cut array and each node's threshold is replaced by its rank
+// in that array. At predict time each row is binned once — a
+// branchless binary search per feature maps the float64 value v to
+// binOf(v) = |{c ∈ cuts : c < v}| — and tree traversal then compares
+// small integers instead of float64s against nodes packed into 8
+// bytes, so twice as many nodes fit per cache line as in the scalar
+// layout and the per-node float load disappears.
+//
+// Binning by rank (not by rounded value) preserves the exact ≤/>
+// partition each float64 threshold induces: for sorted distinct cuts,
+// v ≤ cuts[k] ⟺ binOf(v) ≤ k for every v including ±Inf, so the
+// integer comparison replays the float comparison decision-for-
+// decision. NaN fails every ≤ test in the float walk and is mapped to
+// the past-the-end bin, which exceeds every rank — NaN rows go right
+// in both worlds. Predictions are therefore bit-identical to the
+// scalar encoding's.
+//
+// The uint16 encoding bounds what one model can hold: at most 65535
+// features and 65535 distinct cuts per feature. compileBinned returns
+// an error beyond those limits and Compile falls back to scalar.
 type binnedModel struct {
 	baseScore float64
 	nfeat     int
@@ -81,9 +74,11 @@ type binnedModel struct {
 	scratch sync.Pool
 }
 
-func (binnedBackend) Compile(e Ensemble) (Model, error) {
+// compileBinned builds the binned model of e, or returns an error when
+// e exceeds the uint16 encoding.
+func compileBinned(e Ensemble) (*binnedModel, error) {
 	if e.NumFeatures > binnedLimit {
-		return nil, fmt.Errorf("kernel: binned backend supports at most %d features, ensemble has %d",
+		return nil, fmt.Errorf("kernel: binned encoding supports at most %d features, ensemble has %d",
 			binnedLimit, e.NumFeatures)
 	}
 	// Per-feature distinct sorted cuts.
@@ -110,7 +105,7 @@ func (binnedBackend) Compile(e Ensemble) (Model, error) {
 		}
 		cuts[f] = cuts[f][:w]
 		if w > binnedLimit {
-			return nil, fmt.Errorf("kernel: binned backend supports at most %d cuts per feature, feature %d has %d",
+			return nil, fmt.Errorf("kernel: binned encoding supports at most %d cuts per feature, feature %d has %d",
 				binnedLimit, f, w)
 		}
 		binFeats = append(binFeats, int32(f))
@@ -151,15 +146,6 @@ func (binnedBackend) Compile(e Ensemble) (Model, error) {
 }
 
 func (m *binnedModel) Name() string { return BinnedName }
-
-// NumFeatures returns the feature dimensionality the model expects.
-func (m *binnedModel) NumFeatures() int { return m.nfeat }
-
-// NumTrees returns the number of trees in the compiled ensemble.
-func (m *binnedModel) NumTrees() int { return len(m.roots) }
-
-// NumNodes returns the total node count across all trees.
-func (m *binnedModel) NumNodes() int { return len(m.nodes) }
 
 // binOf maps a row value to its bin: the number of cuts strictly
 // below v, found by a branchless binary search (the half-width update
@@ -246,7 +232,7 @@ func (m *binnedModel) Predict1(row []float64) float64 {
 // tiles; each tile is binned once, then every tree streams over the
 // tile's uint16 bin matrix with four rows in traversal lockstep. The
 // per-row sums accumulate in ensemble order, keeping results
-// bit-for-bit equal to Predict1 (and to every other backend). Safe
+// bit-for-bit equal to Predict1 (and to the scalar encoding). Safe
 // for concurrent calls: tile scratch is pooled per call.
 func (m *binnedModel) PredictBatch(X [][]float64, out []float64) {
 	if len(out) != len(X) {

@@ -1,11 +1,11 @@
-//surf:deterministic (every backend must predict bit-identically to the trained ensemble)
+//surf:deterministic (both encodings must predict bit-identically to the trained ensemble)
 
 package kernel
 
 // LeafFeature marks a leaf in Node.Feature.
 const LeafFeature = int32(-1)
 
-// Node is one tree node in the backend-neutral ensemble form. The
+// Node is one tree node in the encoding-neutral ensemble form. The
 // split semantics are the trainer's: rows with value ≤ Threshold go
 // Left, rows with value > Threshold (and NaN rows, which fail the ≤
 // test) go Right.
@@ -21,9 +21,9 @@ type Node struct {
 }
 
 // Ensemble is a trained gradient-boosted ensemble in the neutral form
-// backends compile. The prediction it defines — BaseScore plus each
+// Compile takes. The prediction it defines — BaseScore plus each
 // tree's reached leaf weight, summed in tree order — is the value
-// every backend must reproduce bit-for-bit. Node 0 of every tree is
+// both encodings must reproduce bit-for-bit. Node 0 of every tree is
 // its root.
 type Ensemble struct {
 	BaseScore   float64

@@ -87,10 +87,9 @@ func decodeParityCase(data []byte) (Ensemble, [][]float64) {
 }
 
 // FuzzKernelParity is the differential fuzz target holding the binned
-// backend (and any future backend) to the bit-identity contract: for
-// every decoded ensemble and probe batch, all registered backends must
-// return exactly the scalar reference's float64s, row-at-a-time and in
-// batch. Seeds live in testdata/fuzz/FuzzKernelParity and CI runs the
+// encoding to the bit-identity contract: for every decoded ensemble
+// and probe batch, compileBinned must return exactly the float64s of
+// the compileScalar reference, row-at-a-time and in batch. Seeds live in testdata/fuzz/FuzzKernelParity and CI runs the
 // target in the fuzz smoke alongside the serialization targets.
 func FuzzKernelParity(f *testing.F) {
 	f.Add([]byte(""))

@@ -1,127 +1,52 @@
-//surf:deterministic (every backend must predict bit-identically to the trained ensemble)
+//surf:deterministic (both encodings must predict bit-identically to the trained ensemble)
 
-// Package kernel is the pluggable inference-backend seam of the
-// surrogate prediction path. A Backend compiles a trained ensemble
-// (in the neutral Ensemble form) into an immutable Model serving
-// Predict1 and PredictBatch; every layer above — the core batch
-// objective, the GSO batch evaluators, Engine prediction —
-// talks only to the Model interface, so swapping the traversal
-// strategy (or later, a SIMD or GPU implementation) never touches the
-// pipeline.
+// Package kernel compiles a trained ensemble (in the neutral Ensemble
+// form) into the immutable Model that serves every surrogate
+// prediction: the core batch objective, the GSO batch evaluators and
+// Engine prediction all talk only to Model.
 //
-// Two backends register at init: "scalar", the portable flat-node
-// float64 traversal, and "binned", which quantizes thresholds into
-// per-feature cut ranks at compile time and walks uint16 bin indices.
+// Compile is the one compile path. It builds the "binned" encoding,
+// which quantizes thresholds into per-feature cut ranks at compile
+// time and walks uint16 bin indices. When the ensemble exceeds that
+// encoding (more than 65535 features, or more than 65535 distinct
+// cuts on one feature) it falls back to "scalar", the portable
+// flat-node float64 traversal, which represents everything and doubles
+// as the reference the parity tests compare against.
+//
 // The contract is strict bit-identity: for any ensemble and any row —
-// including NaN and ±Inf values — every backend's Predict1 and
+// including NaN and ±Inf values — both encodings' Predict1 and
 // PredictBatch return exactly the float64 the trained model's own
 // tree walk returns (same traversal decisions, same summation order).
-// Differential tests and the FuzzKernelParity target hold backends to
-// it.
-//
-// Adding a backend: implement Backend, call Register from an init
-// function in this package, and extend the parity tests to cover it.
-// A backend whose Compile cannot represent an ensemble (the binned
-// backend bounds features and distinct cuts at 65535) returns an
-// error; Compile — the package-level helper all production paths use
-// — then falls back to the scalar backend, which represents
-// everything.
+// Differential tests and the FuzzKernelParity target hold them to it.
 package kernel
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Model is a compiled, immutable inference snapshot of one ensemble.
-// Models are safe for concurrent use; predictions are bit-for-bit
-// identical across backends. Predict1 and PredictBatch panic on
-// dimension mismatches — callers validate at the public boundary
+// Models are safe for concurrent use. Predict1 and PredictBatch panic
+// on dimension mismatches — callers validate at the public boundary
 // (core.Surrogate and Engine.PredictStatisticBatch return wrapped
 // sentinel errors there).
 type Model interface {
-	// Name reports the backend that compiled this model.
+	// Name reports the encoding serving this model (BinnedName or
+	// ScalarName).
 	Name() string
-	// NumFeatures returns the feature dimensionality the model expects.
-	NumFeatures() int
-	// NumTrees returns the number of trees in the compiled ensemble.
-	NumTrees() int
-	// NumNodes returns the total node count across all trees.
-	NumNodes() int
 	// Predict1 returns the prediction for a single raw feature row.
 	Predict1(row []float64) float64
 	// PredictBatch writes predictions for every row of X into out
 	// without allocating on the steady state: out must have exactly
-	// len(X) entries and every row NumFeatures columns.
+	// len(X) entries and every row the ensemble's feature count.
 	PredictBatch(X [][]float64, out []float64)
 }
 
-// Backend compiles ensembles into Models. Implementations must be
-// stateless (one process-wide instance serves all compilations).
-type Backend interface {
-	// Name is the backend's registry key ("scalar", "binned").
-	Name() string
-	// Compile builds an immutable Model from e, returning an error when
-	// the backend cannot represent the ensemble within its encoding
-	// limits; the ensemble itself is trusted (it comes from a validated
-	// trained model).
-	Compile(e Ensemble) (Model, error)
-}
-
-// DefaultName is the backend every engine compiles with. Scalar
-// serves only as the automatic fallback for ensembles binned cannot
-// represent and as the reference the parity tests compare against.
-const DefaultName = "binned"
-
-var backends = map[string]Backend{}
-
-// Register adds a backend under its name. It is called from init
-// functions in this package; a duplicate name is a programming error.
-func Register(b Backend) {
-	name := b.Name()
-	if _, ok := backends[name]; ok {
-		panic(fmt.Sprintf("kernel: backend %q registered twice", name))
+// Compile builds the binned model of e, or the scalar one when
+// binning cannot represent the ensemble, and wraps the result with
+// the process-wide activity counters exported through /metrics. Every
+// production compilation goes through here, so a model that fell back
+// reports the encoding actually serving it via Model.Name.
+func Compile(e Ensemble) Model {
+	if m, err := compileBinned(e); err == nil {
+		return instrument(m)
 	}
-	backends[name] = b
-}
-
-// Lookup resolves a backend by name.
-func Lookup(name string) (Backend, bool) {
-	b, ok := backends[name]
-	return b, ok
-}
-
-// Names lists the registered backends, sorted.
-func Names() []string {
-	names := make([]string, 0, len(backends))
-	for name := range backends {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Default returns the DefaultName backend.
-func Default() Backend {
-	b, ok := Lookup(DefaultName)
-	if !ok {
-		panic("kernel: default backend not registered")
-	}
-	return b
-}
-
-// Compile compiles e with b, falling back to the scalar backend when
-// b cannot represent the ensemble (the scalar backend represents
-// everything), and wraps the result with the process-wide activity
-// counters exported through /metrics. All production compilation
-// paths go through here, so a model that silently fell back reports
-// the backend actually serving it via Model.Name.
-func Compile(b Backend, e Ensemble) Model {
-	m, err := b.Compile(e)
-	if err != nil {
-		m = compileScalar(e)
-	}
-	return instrument(m)
+	return instrument(compileScalar(e))
 }
 
 // bfsOrder lays one tree's nodes out breadth-first starting at node 0:

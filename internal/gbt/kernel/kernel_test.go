@@ -8,27 +8,6 @@ import (
 	"surf/internal/obs"
 )
 
-// TestRegistry: both built-in backends register, Names is sorted, and
-// Default resolves DefaultName.
-func TestRegistry(t *testing.T) {
-	names := Names()
-	if len(names) != 2 || names[0] != BinnedName || names[1] != ScalarName {
-		t.Fatalf("Names() = %v, want [%s %s]", names, BinnedName, ScalarName)
-	}
-	for _, n := range names {
-		b, ok := Lookup(n)
-		if !ok || b.Name() != n {
-			t.Fatalf("Lookup(%q) = %v, %v", n, b, ok)
-		}
-	}
-	if _, ok := Lookup("simd9000"); ok {
-		t.Fatal("Lookup accepted an unregistered backend")
-	}
-	if got := Default().Name(); got != DefaultName {
-		t.Fatalf("Default() = %s, want %s", got, DefaultName)
-	}
-}
-
 // TestBinOf: binOf(cuts, v) counts the cuts strictly below v, which is
 // exactly the rank equivalence the binned walk relies on:
 // v ≤ cuts[k] ⟺ binOf(v) ≤ k for every v including ±Inf.
@@ -80,9 +59,8 @@ func stump(f int32, thr, lw, rw float64) []Node {
 	return []Node{{Feature: f, Threshold: thr, Left: 1, Right: 2}, leafOf(lw), leafOf(rw)}
 }
 
-// assertParity compiles e with every registered backend and checks all
-// of them agree bit-for-bit with the scalar reference on every row,
-// one at a time and in batch.
+// assertParity checks that the binned model of e agrees bit-for-bit
+// with the scalar reference on every row, one at a time and in batch.
 func assertParity(t *testing.T, e Ensemble, rows [][]float64) {
 	t.Helper()
 	ref := compileScalar(e)
@@ -93,26 +71,18 @@ func assertParity(t *testing.T, e Ensemble, rows [][]float64) {
 			t.Fatalf("scalar Predict1 %v != its own PredictBatch %v on row %d", p, want[i], i)
 		}
 	}
-	for _, name := range Names() {
-		b, _ := Lookup(name)
-		m, err := b.Compile(e)
-		if err != nil {
-			t.Fatalf("%s: Compile: %v", name, err)
+	m, err := compileBinned(e)
+	if err != nil {
+		t.Fatalf("compileBinned: %v", err)
+	}
+	out := make([]float64, len(rows))
+	m.PredictBatch(rows, out)
+	for i, row := range rows {
+		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("binned PredictBatch[%d] = %v, scalar %v (row %v)", i, out[i], want[i], row)
 		}
-		if m.NumTrees() != len(e.Trees) || m.NumFeatures() != e.NumFeatures || m.NumNodes() != e.NumNodes() {
-			t.Fatalf("%s: shape %d/%d/%d, ensemble %d/%d/%d", name,
-				m.NumTrees(), m.NumFeatures(), m.NumNodes(),
-				len(e.Trees), e.NumFeatures, e.NumNodes())
-		}
-		out := make([]float64, len(rows))
-		m.PredictBatch(rows, out)
-		for i, row := range rows {
-			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: PredictBatch[%d] = %v, scalar %v (row %v)", name, i, out[i], want[i], row)
-			}
-			if p := m.Predict1(row); math.Float64bits(p) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: Predict1 %v, scalar %v (row %v)", name, p, want[i], row)
-			}
+		if p := m.Predict1(row); math.Float64bits(p) != math.Float64bits(want[i]) {
+			t.Fatalf("binned Predict1 %v, scalar %v (row %v)", p, want[i], row)
 		}
 	}
 }
@@ -160,19 +130,19 @@ func TestParityHandcrafted(t *testing.T) {
 }
 
 // TestCompileFallback: an ensemble past the binned encoding limits
-// must fail binnedBackend.Compile, and the Compile helper must then
-// serve it through the scalar backend — reported by Model.Name so the
-// engine's SurrogateInfo.Kernel can never lie about what is serving.
+// must fail compileBinned, and Compile must then serve it through the
+// scalar encoding — reported by Model.Name so the engine's
+// SurrogateInfo.Kernel can never lie about what is serving.
 func TestCompileFallback(t *testing.T) {
 	// 65536 distinct cuts on feature 0: one stump per cut.
 	e := Ensemble{NumFeatures: 1}
 	for i := 0; i <= binnedLimit; i++ {
 		e.Trees = append(e.Trees, stump(0, float64(i), 0, 1))
 	}
-	if _, err := (binnedBackend{}).Compile(e); err == nil {
-		t.Fatal("binned Compile accepted >65535 distinct cuts")
+	if _, err := compileBinned(e); err == nil {
+		t.Fatal("compileBinned accepted >65535 distinct cuts")
 	}
-	m := Compile(binnedBackend{}, e)
+	m := Compile(e)
 	if m.Name() != ScalarName {
 		t.Fatalf("fallback model reports %s, want %s", m.Name(), ScalarName)
 	}
@@ -183,17 +153,56 @@ func TestCompileFallback(t *testing.T) {
 	// Too many features trips the other limit; a single leaf keeps the
 	// ensemble tiny.
 	wide := Ensemble{NumFeatures: binnedLimit + 1, Trees: [][]Node{{leafOf(2)}}}
-	if _, err := (binnedBackend{}).Compile(wide); err == nil {
-		t.Fatal("binned Compile accepted >65535 features")
+	if _, err := compileBinned(wide); err == nil {
+		t.Fatal("compileBinned accepted >65535 features")
 	}
-	if m := Compile(binnedBackend{}, wide); m.Name() != ScalarName {
+	if m := Compile(wide); m.Name() != ScalarName {
 		t.Fatalf("wide fallback reports %s, want %s", m.Name(), ScalarName)
 	}
 
-	// In range, the helper serves the requested backend.
-	if m := Compile(binnedBackend{}, Ensemble{NumFeatures: 1, Trees: [][]Node{stump(0, 0.5, 1, 2)}}); m.Name() != BinnedName {
+	// In range, Compile serves the binned encoding.
+	if m := Compile(Ensemble{NumFeatures: 1, Trees: [][]Node{stump(0, 0.5, 1, 2)}}); m.Name() != BinnedName {
 		t.Fatalf("in-range Compile reports %s, want %s", m.Name(), BinnedName)
 	}
+}
+
+// TestPredictPanicsOnMisSizedInput: both encodings validate the whole
+// batch up front — output length and every row's width, not just row
+// 0 — and stay usable after the panic.
+func TestPredictPanicsOnMisSizedInput(t *testing.T) {
+	e := Ensemble{NumFeatures: 2, Trees: [][]Node{stump(0, 0.5, 1, 2), stump(1, -1, 3, 4)}}
+	binned, err := compileBinned(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := [][]float64{{1, 2}, {3, 4}, {0, -5}}
+	badRow2 := [][]float64{{1, 2}, {3, 4}, {5}}
+	want := make([]float64, len(good))
+	compileScalar(e).PredictBatch(good, want)
+	for _, m := range []Model{binned, compileScalar(e)} {
+		out := make([]float64, len(good))
+		mustPanic(t, m.Name()+" PredictBatch short out", func() { m.PredictBatch(good, out[:2]) })
+		mustPanic(t, m.Name()+" PredictBatch bad row 2", func() { m.PredictBatch(badRow2, out) })
+		mustPanic(t, m.Name()+" Predict1 bad row", func() { m.Predict1([]float64{1}) })
+		m.PredictBatch(nil, nil) // empty batches are no-ops
+		m.PredictBatch(good, out)
+		for i := range out {
+			if out[i] != want[i] {
+				t.Fatalf("%s: PredictBatch[%d] = %v, want %v", m.Name(), i, out[i], want[i])
+			}
+		}
+	}
+}
+
+// mustPanic asserts fn panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: expected panic", name)
+		}
+	}()
+	fn()
 }
 
 // TestConcurrentPredictBatch: the binned model's pooled bin scratch
@@ -203,7 +212,7 @@ func TestConcurrentPredictBatch(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e.Trees = append(e.Trees, stump(int32(i%2), float64(i%7)*0.25, float64(i), -float64(i)))
 	}
-	m, err := (binnedBackend{}).Compile(e)
+	m, err := compileBinned(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +243,12 @@ func TestConcurrentPredictBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestInstrumentCounters: models built through the Compile helper
-// account rows, batches and kernel time to the process-wide per-backend
-// counters that /metrics exports.
+// TestInstrumentCounters: models built through Compile account rows,
+// batches and kernel time to the process-wide per-kernel counters that
+// /metrics exports.
 func TestInstrumentCounters(t *testing.T) {
 	e := Ensemble{NumFeatures: 1, Trees: [][]Node{stump(0, 0.5, 1, 2)}}
-	m := Compile(binnedBackend{}, e)
+	m := Compile(e)
 	st := obs.Kernel(m.Name())
 	rows0, batches0 := st.Rows.Value(), st.Batches.Value()
 
@@ -260,6 +269,6 @@ func TestInstrumentCounters(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("KernelSnapshot missing backend %q", m.Name())
+		t.Fatalf("KernelSnapshot missing kernel %q", m.Name())
 	}
 }

@@ -1,29 +1,11 @@
-//surf:deterministic (every backend must predict bit-identically to the trained ensemble)
+//surf:deterministic (both encodings must predict bit-identically to the trained ensemble)
 
 package kernel
 
 import "fmt"
 
-// ScalarName is the portable fallback backend's registry key.
+// ScalarName names the portable fallback encoding.
 const ScalarName = "scalar"
-
-func init() { Register(scalarBackend{}) }
-
-// scalarBackend compiles the flat-node float64 traversal: all trees
-// flattened into one contiguous node array with per-tree root offsets,
-// child pointers rebased to absolute indices and leaves encoded
-// inline. Compared to walking []*tree node structs it removes a
-// pointer indirection per tree, drops training-only fields from the
-// hot data and packs each node into a quarter cache line — so batched
-// prediction streams rows against cache-resident tree data instead of
-// dragging the whole ensemble through the cache once per row. It
-// represents every ensemble, which is what makes it the fallback for
-// backends with encoding limits.
-type scalarBackend struct{}
-
-func (scalarBackend) Name() string { return ScalarName }
-
-func (scalarBackend) Compile(e Ensemble) (Model, error) { return compileScalar(e), nil }
 
 // cnode is one compiled tree node, packed into 16 bytes so a cache
 // line holds four nodes. Internal nodes carry the split threshold and
@@ -36,10 +18,19 @@ type cnode struct {
 	kids      int32
 }
 
-// scalarModel is the compiled flat-node form. It is safe for
-// concurrent use and produces bit-for-bit the same predictions as the
-// ensemble it was compiled from (same traversal decisions, same
-// summation order).
+// scalarModel is the flat-node float64 traversal: all trees
+// flattened into one contiguous node array with per-tree root offsets,
+// child pointers rebased to absolute indices and leaves encoded
+// inline. Compared to walking []*tree node structs it removes a
+// pointer indirection per tree, drops training-only fields from the
+// hot data and packs each node into a quarter cache line — so batched
+// prediction streams rows against cache-resident tree data instead of
+// dragging the whole ensemble through the cache once per row. It
+// represents every ensemble, which is what makes it the fallback when
+// the binned encoding's limits are exceeded.
+// It is safe for concurrent use and produces bit-for-bit the same
+// predictions as the ensemble it was compiled from (same traversal
+// decisions, same summation order).
 type scalarModel struct {
 	baseScore float64
 	nfeat     int
@@ -80,15 +71,6 @@ func compileScalar(e Ensemble) *scalarModel {
 }
 
 func (c *scalarModel) Name() string { return ScalarName }
-
-// NumFeatures returns the feature dimensionality the model expects.
-func (c *scalarModel) NumFeatures() int { return c.nfeat }
-
-// NumTrees returns the number of trees in the compiled ensemble.
-func (c *scalarModel) NumTrees() int { return len(c.roots) }
-
-// NumNodes returns the total node count across all trees.
-func (c *scalarModel) NumNodes() int { return len(c.nodes) }
 
 // gt is the branch-free child selector: 0 when the row value is ≤ the
 // split threshold (go left), else 1 — phrased as a negated ≤ rather

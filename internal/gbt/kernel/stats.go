@@ -21,16 +21,13 @@ type instrumented struct {
 }
 
 // instrument wraps m; the wrapper delegates everything and records
-// activity under m's backend name. The timing cost — two clock reads
+// activity under m's encoding name. The timing cost — two clock reads
 // per batch — is noise against even the smallest swarm shard.
 func instrument(m Model) Model {
 	return &instrumented{m: m, st: obs.Kernel(m.Name())}
 }
 
-func (w *instrumented) Name() string     { return w.m.Name() }
-func (w *instrumented) NumFeatures() int { return w.m.NumFeatures() }
-func (w *instrumented) NumTrees() int    { return w.m.NumTrees() }
-func (w *instrumented) NumNodes() int    { return w.m.NumNodes() }
+func (w *instrumented) Name() string { return w.m.Name() }
 
 func (w *instrumented) Predict1(row []float64) float64 {
 	start := time.Now()

@@ -406,14 +406,19 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 			return nil, fmt.Errorf("registry: dataset %q failed to load: %w", name, err)
 		}
 		// Cold entry: start the load and loop back to wait on it.
-		ch := make(chan struct{})
-		e.loading = ch
-		e.training = e.spec.Train > 0
-		spec, version, store := e.spec, e.version, e.reusableStoreLocked()
-		r.mu.Unlock()
-		go r.load(name, spec, version, store, ch)
-		r.mu.Lock()
+		r.startLoadLocked(e)
 	}
+}
+
+// startLoadLocked starts loading the cold entry e in the background
+// from a snapshot of its spec, version and store. Callers hold r.mu;
+// the load takes it only to publish its result, and waiters find it
+// through e.loading.
+func (r *Registry) startLoadLocked(e *entry) {
+	ch := make(chan struct{})
+	e.loading = ch
+	e.training = e.spec.Train > 0
+	go r.load(e.name, e.spec, e.version, e.reusableStoreLocked(), ch)
 }
 
 // reusableStoreLocked returns the entry's living store when the
@@ -480,16 +485,10 @@ func (r *Registry) Warm(name string) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	if e.set != nil || e.loading != nil || e.loadErr != nil {
-		r.mu.Unlock()
-		return nil
+	if e.set == nil && e.loading == nil && e.loadErr == nil {
+		r.startLoadLocked(e)
 	}
-	ch := make(chan struct{})
-	e.loading = ch
-	e.training = e.spec.Train > 0
-	spec, version, store := e.spec, e.version, e.reusableStoreLocked()
 	r.mu.Unlock()
-	go r.load(name, spec, version, store, ch)
 	return nil
 }
 

@@ -277,8 +277,8 @@ func TestModelsCRUD(t *testing.T) {
 		t.Fatalf("beta surrogate info: %+v", m.SurrogateInfo)
 	}
 	// The serving inference backend is part of the model's status.
-	if m.SurrogateInfo.Kernel != kernel.DefaultName {
-		t.Fatalf("beta kernel %q, want %q", m.SurrogateInfo.Kernel, kernel.DefaultName)
+	if m.SurrogateInfo.Kernel != kernel.BinnedName {
+		t.Fatalf("beta kernel %q, want %q", m.SurrogateInfo.Kernel, kernel.BinnedName)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/models/gamma")

@@ -706,9 +706,8 @@ type surrogateInfoBody struct {
 	TrainedQueries int      `json:"trained_queries,omitempty"`
 	Trees          int      `json:"trees,omitempty"`
 	// Kernel names the inference backend serving this entry's surrogate
-	// predictions ("scalar" or "binned"). It reports the backend
-	// actually compiled in — a backend that could not represent the
-	// ensemble shows its scalar fallback here, not the requested name.
+	// predictions ("binned", or "scalar" when the binned encoding
+	// could not represent the ensemble and the fallback serves it).
 	Kernel string `json:"kernel,omitempty"`
 }
 
