@@ -13,6 +13,7 @@ package surf
 // recorded in EXPERIMENTS.md.
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -166,7 +167,9 @@ func BenchmarkGSORun(b *testing.B) {
 // centre and 3 half-side coordinates), with InvalidWalk 1 as Find
 // sets it. The objective is undefined for oversized regions, so a
 // share of the swarm walks. evals/op counts objective calls per run,
-// which the optimizer spends only on worms that moved.
+// which the optimizer spends only on worms that moved. The w1 and w2
+// sub-benchmarks run the swarm on one and two workers; the swarm is
+// the same for both, so the difference is the parallel evaluation.
 func BenchmarkGSORunMine3D(b *testing.B) {
 	obj := gso.ObjectiveFunc(func(pos []float64) (float64, bool) {
 		var s, side float64
@@ -179,18 +182,22 @@ func BenchmarkGSORunMine3D(b *testing.B) {
 		}
 		return s, true
 	})
-	p := gso.DefaultParams()
-	p.Glowworms = 300
-	var evals int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := gso.Run(p, geom.Unit(6), obj, gso.Options{InvalidWalk: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		evals += res.Evaluations
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			p := gso.DefaultParams()
+			p.Glowworms = 300
+			p.Workers = workers
+			var evals int
+			for i := 0; i < b.N; i++ {
+				res, err := gso.Run(p, geom.Unit(6), obj, gso.Options{InvalidWalk: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals += res.Evaluations
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+		})
 	}
-	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }
 
 // BenchmarkKDEBoxMass measures one Eq. 8 box-mass computation over a

@@ -145,8 +145,11 @@ func copyResult(r *Result) *Result {
 // is resolved to its effective value, via the same constants and
 // helpers the execution path defaults with (core.DefaultC and kin,
 // gsoParams), so a default change can never alias two queries to one
-// entry — and knobs that cannot change the result (Workers: batch
-// shards are bit-identical to sequential evaluation) are dropped.
+// entry — and knobs that cannot change the result are dropped:
+// Workers, because the swarm's evaluation shards are bit-identical to
+// the sequential evaluation and its movement phase is serial
+// (TestResultsIndependentOfWorkers pins this for Find, FindTopK and
+// Stream).
 // The key binds to the snapshot's generation number; two queries get
 // the same key exactly when they are guaranteed to produce the same
 // Result against the same snapshot. Floats render with %g shortest

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"surf/internal/gbt"
@@ -17,11 +18,16 @@ import (
 // compiled model's PredictBatch — across swarm-sized batches and writes
 // the trajectory to BENCH_inference.json. The compiled outputs are
 // first asserted bit-identical to the naive walk, so the numbers always
-// describe equivalent computations. CI runs this on every push, uploads
-// the file as an artifact and (with -min-speedup) gates on the batch-64
-// speedup.
+// describe equivalent computations. Walk and batch are timed
+// alternately, batch size by batch size, over benchRounds rounds, so
+// a drift in machine speed lands on both sides of each round's ratio;
+// the reported speedup is the median of the per-round ratios. CI runs
+// this on every push, uploads the file as an artifact and (with
+// -min-speedup) gates on the batch-64 speedup.
 
-// inferencePoint is one batch-size measurement.
+// inferencePoint is one batch-size measurement: the median walk and
+// batch times over the rounds, and the median of the per-round
+// speedups.
 type inferencePoint struct {
 	Batch           int     `json:"batch"`
 	NsPerRowWalk    float64 `json:"ns_per_row_walk"`
@@ -42,9 +48,13 @@ type inferenceReport struct {
 	Nodes       int              `json:"nodes"`
 	Features    int              `json:"features"`
 	Kernel      string           `json:"kernel"`
+	Rounds      int              `json:"rounds"`
 	Trajectory  []inferencePoint `json:"trajectory"`
 	SpeedupAt64 float64          `json:"speedup_at_64"`
-	MaxSpeedup  float64          `json:"max_speedup"`
+	// RoundSpeedupsAt64 are the per-round batch-64 speedups whose
+	// median is SpeedupAt64.
+	RoundSpeedupsAt64 []float64 `json:"round_speedups_at_64"`
+	MaxSpeedup        float64   `json:"max_speedup"`
 }
 
 // inferenceBatchSizes are the measured batch sizes; 64 is the smallest
@@ -58,6 +68,7 @@ var (
 	benchTrees  = 300
 	benchDepth  = 8
 	benchWindow = 100 * time.Millisecond
+	benchRounds = 5
 )
 
 // runInferenceBench trains a deterministic ensemble, measures the walk
@@ -68,8 +79,8 @@ func runInferenceBench(out string, minSpeedup float64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("inference benchmark: %d trees, %d nodes, %d features, kernel %s (%s %s)\n",
-		rep.Trees, rep.Nodes, rep.Features, rep.Kernel, rep.GoVersion, rep.GOARCH)
+	fmt.Printf("inference benchmark: %d trees, %d nodes, %d features, kernel %s (%s %s), median of %d rounds\n",
+		rep.Trees, rep.Nodes, rep.Features, rep.Kernel, rep.GoVersion, rep.GOARCH, rep.Rounds)
 	fmt.Printf("%8s  %14s  %14s  %14s  %8s\n", "batch", "walk ns/row", "batch ns/row", "rows/s", "speedup")
 	for _, p := range rep.Trajectory {
 		fmt.Printf("%8d  %14.0f  %14.0f  %14.0f  %7.2fx\n",
@@ -91,8 +102,8 @@ func runInferenceBench(out string, minSpeedup float64) error {
 		fmt.Printf("wrote %s\n", path)
 	}
 	if minSpeedup > 0 && rep.SpeedupAt64 < minSpeedup {
-		return fmt.Errorf("%s batch-64 speedup %.2fx below required %.2fx",
-			rep.Kernel, rep.SpeedupAt64, minSpeedup)
+		return fmt.Errorf("%s batch-64 speedup %.2fx (median of rounds %.2f) below required %.2fx",
+			rep.Kernel, rep.SpeedupAt64, rep.RoundSpeedupsAt64, minSpeedup)
 	}
 	return nil
 }
@@ -132,38 +143,59 @@ func measureInference() (*inferenceReport, error) {
 		Kernel:    c.Name(),
 	}
 	var sink float64
-	walkNs := make([]float64, len(inferenceBatchSizes))
-	for i, batch := range inferenceBatchSizes {
-		rows := probes[:batch]
-		walkNs[i] = measureNs(func() {
-			for _, row := range rows {
-				sink = m.Predict1(row)
-			}
-		}) / float64(batch)
+	walkNs := make([][]float64, len(inferenceBatchSizes))
+	batchNs := make([][]float64, len(inferenceBatchSizes))
+	speedups := make([][]float64, len(inferenceBatchSizes))
+	for range benchRounds {
+		for i, batch := range inferenceBatchSizes {
+			rows := probes[:batch]
+			walk := measureNs(func() {
+				for _, row := range rows {
+					sink = m.Predict1(row)
+				}
+			}) / float64(batch)
+			batched := measureNs(func() {
+				c.PredictBatch(rows, out[:batch])
+			}) / float64(batch)
+			walkNs[i] = append(walkNs[i], walk)
+			batchNs[i] = append(batchNs[i], batched)
+			speedups[i] = append(speedups[i], walk/batched)
+		}
 	}
 	_ = sink
+	rep.Rounds = benchRounds
 	for i, batch := range inferenceBatchSizes {
-		rows := probes[:batch]
-		batchNs := measureNs(func() {
-			c.PredictBatch(rows, out[:batch])
-		}) / float64(batch)
+		walk, batched := median(walkNs[i]), median(batchNs[i])
 		pt := inferencePoint{
 			Batch:           batch,
-			NsPerRowWalk:    walkNs[i],
-			NsPerRowBatch:   batchNs,
-			RowsPerSecWalk:  1e9 / walkNs[i],
-			RowsPerSecBatch: 1e9 / batchNs,
-			Speedup:         walkNs[i] / batchNs,
+			NsPerRowWalk:    walk,
+			NsPerRowBatch:   batched,
+			RowsPerSecWalk:  1e9 / walk,
+			RowsPerSecBatch: 1e9 / batched,
+			Speedup:         median(speedups[i]),
 		}
 		rep.Trajectory = append(rep.Trajectory, pt)
 		if batch == 64 {
 			rep.SpeedupAt64 = pt.Speedup
+			rep.RoundSpeedupsAt64 = speedups[i]
 		}
 		if pt.Speedup > rep.MaxSpeedup {
 			rep.MaxSpeedup = pt.Speedup
 		}
 	}
 	return rep, nil
+}
+
+// median returns the middle value of v (the mean of the two middle
+// values for an even count) without reordering v.
+func median(v []float64) float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	h := len(s) / 2
+	if len(s)%2 == 0 {
+		return (s[h-1] + s[h]) / 2
+	}
+	return s[h]
 }
 
 // measureNs times one call of f, auto-scaling the repeat count until

@@ -84,6 +84,13 @@ func TestInferenceBenchWritesJSON(t *testing.T) {
 	if rep.SpeedupAt64 != rep.Trajectory[1].Speedup {
 		t.Errorf("speedup_at_64 %v != trajectory batch-64 %v", rep.SpeedupAt64, rep.Trajectory[1].Speedup)
 	}
+	// The gate reads the median of the alternating rounds' ratios.
+	if rep.Rounds != benchRounds || len(rep.RoundSpeedupsAt64) != benchRounds {
+		t.Fatalf("rounds %d with %d batch-64 ratios, want %d", rep.Rounds, len(rep.RoundSpeedupsAt64), benchRounds)
+	}
+	if m := median(rep.RoundSpeedupsAt64); m != rep.SpeedupAt64 {
+		t.Errorf("speedup_at_64 %v is not the median %v of the round ratios %v", rep.SpeedupAt64, m, rep.RoundSpeedupsAt64)
+	}
 }
 
 func TestInferenceBenchSpeedupGate(t *testing.T) {
@@ -141,5 +148,18 @@ func TestTrainingBenchSpeedupGate(t *testing.T) {
 	shrinkTrainBench(t)
 	if err := runTrainingBench("", 1e9); err == nil {
 		t.Error("expected gate failure for absurd -min-speedup")
+	}
+}
+
+func TestMedian(t *testing.T) {
+	odd := []float64{3, 1, 2}
+	if m := median(odd); m != 2 {
+		t.Errorf("median(3,1,2) = %v, want 2", m)
+	}
+	if odd[0] != 3 || odd[1] != 1 {
+		t.Errorf("median reordered its input: %v", odd)
+	}
+	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Errorf("median(4,1,3,2) = %v, want 2.5", m)
 	}
 }

@@ -30,8 +30,9 @@
 //   - Every long-running entry point has a context-accepting form
 //     (FindContext, FindTopKContext, TrainSurrogateContext,
 //     GenerateWorkloadContext). Cancellation is plumbed into the
-//     optimizer (honored within one swarm iteration, checked every
-//     64 glowworms of the neighbour scan) and into
+//     optimizer (honored within one swarm iteration, checked between
+//     256-row objective chunks and every 64 glowworms of the movement
+//     phase) and into
 //     surrogate training (honored within one boosting round, on the
 //     plain fit and inside every hyper-tuning fold alike); the
 //     context-free names are thin context.Background() wrappers.
@@ -135,13 +136,17 @@
 // # Query performance
 //
 // A Find's cost is its GSO loop: surrogate predictions for the
-// swarm, then an O(L²·d) scan for brighter neighbours. Objectives and
-// KDE selection weights are pure functions of position, so each
-// iteration re-scores and re-weights only the glowworms that moved
-// (L + Σ Moved predictions per run instead of L·T), and the
-// neighbour scan rejects a pair as soon as its squared-distance
-// partial sum provably exceeds the squared radius. Both leave every
-// swarm bit-identical to the plain loop.
+// swarm, then an O(L²·d) scan for brighter neighbours. The swarm moves
+// synchronously: every glowworm moves against the start-of-iteration
+// swarm. The predictions shard over Query.Workers and the movement
+// runs on one goroutine, so the result never depends on Workers.
+// Objectives and KDE selection weights are
+// pure functions of position, so each iteration re-scores and
+// re-weights only the glowworms that moved (L + Σ Moved predictions
+// per run instead of L·T); the swarm is sorted by luciferin once per
+// iteration, so a worm scans only the strictly brighter worms, with a
+// branch-free squared distance against the squared radius. All of it
+// leaves every swarm bit-identical to the plain synchronous loop.
 //
 // # Inference backends
 //

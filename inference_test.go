@@ -1,6 +1,7 @@
 package surf
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -187,6 +188,7 @@ func TestFindDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Workers = 4
+	eng.cache.clear() // the key drops Workers, so a hit would prove nothing
 	got, err := eng.Find(q)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +199,69 @@ func TestFindDeterministicAcrossWorkers(t *testing.T) {
 	for i := range base.Regions {
 		if got.Regions[i].Score != base.Regions[i].Score || got.Regions[i].Estimate != base.Regions[i].Estimate {
 			t.Fatalf("region %d diverged across worker counts", i)
+		}
+	}
+}
+
+// TestResultsIndependentOfWorkers: Find, FindTopK and Stream return
+// identical Results, and a stream the same incumbents, for Workers 0,
+// 2 and 3. The swarm's evaluation shards over the workers, and
+// Query.cacheKey drops Workers on the strength of this. The cache is cleared before every run so each one mines.
+func TestResultsIndependentOfWorkers(t *testing.T) {
+	eng := trainedEngine(t)
+	type outcome struct {
+		find, kde, topk, stream *Result
+		incumbents              []Region
+	}
+	run := func(workers int) outcome {
+		var o outcome
+		var err error
+		q := hotspotQuery()
+		q.Iterations = 50
+		q.Workers = workers
+		eng.cache.clear()
+		if o.find, err = eng.Find(q); err != nil {
+			t.Fatal(err)
+		}
+		qk := q
+		qk.UseKDE, qk.KDESample, qk.Glowworms = true, 100, 80
+		eng.cache.clear()
+		if o.kde, err = eng.Find(qk); err != nil {
+			t.Fatal(err)
+		}
+		eng.cache.clear()
+		if o.topk, err = eng.FindTopK(TopKQuery{K: 3, Largest: true, Iterations: 50, Seed: 5, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.Stream(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ev, err := range st.Events() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, ok := ev.(EventRegion); ok {
+				o.incumbents = append(o.incumbents, r.Region)
+			}
+		}
+		if o.stream, err = st.Result(); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	base := run(0)
+	if len(base.find.Regions) == 0 || len(base.kde.Regions) == 0 || len(base.topk.Regions) == 0 || len(base.incumbents) == 0 {
+		t.Fatal("fixture queries found no regions; the comparison would prove nothing")
+	}
+	for _, workers := range []int{2, 3} {
+		got := run(workers)
+		sameResult(t, base.find, got.find)
+		sameResult(t, base.kde, got.kde)
+		sameResult(t, base.topk, got.topk)
+		sameResult(t, base.stream, got.stream)
+		if !regionsEqual(base.incumbents, got.incumbents) {
+			t.Fatalf("workers=%d: stream incumbents differ: %d vs %d", workers, len(got.incumbents), len(base.incumbents))
 		}
 	}
 }

@@ -32,29 +32,48 @@
 //     arbitrary positive weight (SuRF passes the KDE box mass of the
 //     candidate region, paper Eq. 8).
 //
+// # Synchronous update
+//
+// The swarm moves synchronously, as Krishnanand & Ghose define GSO:
+// every worm chooses its neighbour against the start-of-iteration
+// positions, luciferin, radii and selection weights, and writes its
+// next position to a second buffer; the buffers swap when every worm
+// has moved, so no worm's move depends on another's. Worms move in
+// index order, drawing their roulette and walk numbers from the run's
+// one random stream, which first placed the swarm. Neighbours are
+// collected in the canonical luciferin order (brightest first, ties by
+// index, NaN last), which fixes the roulette sums. Only the
+// evaluations run on Workers goroutines, and they are bit-identical to
+// a sequential evaluation, so the swarm is a function of the
+// parameters and the seed alone: the same for any Workers.
+//
 // # Cost
 //
 // An iteration does only the work its result depends on, and the
-// swarm stays bit-identical to the straightforward loop (a reference
-// copy in the tests pins this for every seed and setting):
+// swarm stays bit-identical to the plain synchronous loop (a
+// reference copy in the tests pins this for every seed and setting):
 //
 //   - Objectives and weights are pure functions of position, so only
 //     worms that moved in the previous iteration are re-scored and
 //     re-weighted; a worm with no brighter neighbour, or whose chosen
 //     neighbour sits on it, keeps its fitness and weight. A run makes
 //     L + Σ Moved objective calls rather than L·T.
-//   - The O(L²·n) neighbour scan compares squared-distance partial
-//     sums against the squared radius and stops a pair as soon as it
-//     is provably out of range; only sums within a few ulps of r²
-//     take the square root.
+//   - The swarm is sorted by luciferin once per iteration, so a worm
+//     scans only the prefix of strictly brighter worms instead of
+//     testing brightness for all L. Each candidate's squared distance
+//     is summed over every coordinate without branches and compared
+//     with the squared radius; only sums within a few ulps of r² take
+//     the square root.
 package gso
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"surf/internal/geom"
@@ -80,7 +99,8 @@ func (f ObjectiveFunc) Fitness(pos []float64) (float64, bool) { return f(pos) }
 // inference kernel backend — see internal/gbt/kernel). When the
 // objective passed to Run implements it, each swarm iteration is
 // evaluated as Workers contiguous shards, one BatchEvaluator per
-// worker, instead of position-by-position Fitness calls. Batch results
+// worker, each handed its shard in calls of at most 256 positions,
+// instead of position-by-position Fitness calls. Batch results
 // must be bit-for-bit equal to Fitness on each position, whichever
 // kernel backend serves the batch.
 type BatchObjective interface {
@@ -94,10 +114,11 @@ type BatchObjective interface {
 
 // BatchEvaluator evaluates one shard of positions, writing fitness[i],
 // valid[i] for pos[i]. Each iteration's batch holds only the worms
-// that moved, so its size varies; like Objective, results must depend
-// on each position alone. Implementations may keep internal scratch
-// and therefore must not be shared across goroutines; distinct
-// evaluators must be safe to run concurrently.
+// that moved, so its size varies (up to 256 positions a call); like
+// Objective, results must depend on each position alone.
+// Implementations may keep internal scratch and therefore must not be
+// shared across goroutines; distinct evaluators must be safe to run
+// concurrently.
 type BatchEvaluator interface {
 	EvaluateBatch(pos [][]float64, fitness []float64, valid []bool)
 }
@@ -141,14 +162,14 @@ type Params struct {
 	ConvergeWindow int
 	// ConvergeEps is the plateau threshold for early stopping.
 	ConvergeEps float64
-	// Workers evaluates the objective with this many goroutines per
-	// iteration (0 or 1 = sequential; swarms smaller than 2·Workers
-	// also run sequentially). Each iteration the worms that moved
-	// are split into Workers contiguous shards. Results are identical
-	// to the sequential run — only the fitness evaluations
-	// parallelize; the movement phase keeps its deterministic RNG
-	// stream. The objective must be safe for concurrent calls (the
-	// boosted-tree surrogate is). Objectives implementing
+	// Workers runs each iteration's fitness evaluations on this many
+	// goroutines (0 or 1 = sequential; swarms smaller than 2·Workers
+	// also run sequentially). The worms that moved are split into
+	// Workers contiguous shards; the movement phase runs on the
+	// optimizer's goroutine. Results are bit-identical to the
+	// sequential run. The objective must be safe for concurrent calls
+	// (the boosted-tree surrogate is); SelectionWeight is always called
+	// from the optimizer's goroutine. Objectives implementing
 	// BatchObjective are evaluated shard-at-a-time with one
 	// preallocated evaluator per worker.
 	Workers int
@@ -243,10 +264,10 @@ type Result struct {
 // handed to Options.Observer once per iteration. All slices alias the
 // optimizer's live buffers: they are valid only for the duration of
 // the callback and must be copied if retained, and must not be
-// mutated. Fitness and Valid hold the evaluation results at the
-// start-of-iteration positions; Positions have already taken this
-// iteration's movement step (worms drift at most one step between
-// evaluation and observation).
+// mutated. Fitness, Valid and Luciferin are the values every worm
+// moved against: the evaluation at the start-of-iteration positions.
+// Positions are the swarm after this iteration's synchronous move
+// (worms drift at most one step between evaluation and observation).
 type SwarmView struct {
 	Positions [][]float64
 	Fitness   []float64
@@ -287,17 +308,22 @@ func Run(p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, erro
 	return RunContext(context.Background(), p, bounds, obj, opts)
 }
 
-// cancelEvery is how many glowworms the movement phase handles between
+// cancelEvery is how many glowworms the movement phase moves between
 // context checks.
 const cancelEvery = 64
 
+// evalChunk is the most positions one EvaluateBatch call receives; the
+// context is checked between chunks. It matches the binned kernel's
+// row tile, so chunking costs the kernel no extra passes.
+const evalChunk = 256
+
 // RunContext is Run with cancellation: the context is checked at the
-// top of every swarm iteration and every cancelEvery glowworms of the
+// top of every swarm iteration, between evalChunk-position chunks of
+// the objective evaluation, and every cancelEvery glowworms of the
 // movement phase, so a cancelled run returns ctx.Err() within one
-// iteration's objective evaluations plus cancelEvery neighbour scans
-// (O(cancelEvery·L·n) work), even for very large swarms. A cancelled
-// run returns no partial result and does not invoke the Observer
-// again.
+// chunk per worker or cancelEvery neighbour scans (O(cancelEvery·L·n)
+// work), even for very large swarms. A cancelled run returns no
+// partial result and does not invoke the Observer again.
 func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -339,7 +365,8 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 	}
 
 	L := p.Glowworms
-	pos := make([][]float64, L)
+	eval := newSwarmEvaluator(obj, p.Workers, L)
+	m := newMover(p, bounds, opts, step, sensor, r0)
 	if opts.InitPositions != nil {
 		if len(opts.InitPositions) != L {
 			return nil, fmt.Errorf("gso: %d initial positions for %d glowworms", len(opts.InitPositions), L)
@@ -348,60 +375,32 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 			if len(ip) != n {
 				return nil, fmt.Errorf("gso: initial position %d has dimension %d, want %d", i, len(ip), n)
 			}
-			pos[i] = append([]float64(nil), ip...)
+			copy(m.rows[i], ip)
 		}
 	} else {
-		for i := range pos {
-			pos[i] = randomPoint(rng, bounds)
+		for _, q := range m.rows {
+			randomPoint(rng, bounds, q)
 		}
 	}
 
-	luc := make([]float64, L)
-	radius := make([]float64, L)
-	fitness := make([]float64, L)
-	valid := make([]bool, L)
-	for i := range luc {
-		luc[i] = p.InitLuciferin
-		radius[i] = r0
-	}
-
+	luc, fitness, valid := m.luc, make([]float64, L), m.valid
 	res := &Result{}
 	if opts.RecordHistory {
 		res.History = make([][][]float64, L)
 	}
 
-	var neighbors []int
-	var weights []float64
 	var plateau []float64
-	var wcache []float64
-	if opts.Weight != nil {
-		wcache = make([]float64, L)
-	}
-	eval := newSwarmEvaluator(obj, p.Workers, L)
 
 	// dirty marks worms whose position changed since their last
-	// evaluation. Objectives and weights are pure functions of
-	// position, so a clean worm keeps its fitness, validity and
-	// selection weight. batch holds row pointers to the dirty
-	// positions (no coordinate copies); batchFit and batchValid
-	// receive their results before the scatter.
-	dirty := make([]bool, L)
-	for i := range dirty {
-		dirty[i] = true
-	}
+	// evaluation (every worm, at the start). Objectives and weights are
+	// pure functions of position, so a clean worm keeps its fitness,
+	// validity and selection weight. batch holds row views of the dirty
+	// positions (no coordinate copies); batchFit and batchValid receive
+	// their results before the scatter.
+	dirty := m.dirty
 	batch := make([][]float64, 0, L)
 	batchFit := make([]float64, L)
 	batchValid := make([]bool, L)
-
-	// The early-exit neighbour test below is exact only while every
-	// coordinate is finite: then squared-distance partial sums never
-	// turn NaN and only grow. A non-finite coordinate (possible only
-	// from degenerate bounds, initial positions or a move that
-	// overflows) turns it off for the rest of the run.
-	allFinite := true
-	for _, q := range pos {
-		allFinite = allFinite && isFinite(q)
-	}
 
 	for t := 0; t < p.MaxIters; t++ {
 		if err := ctx.Err(); err != nil {
@@ -411,17 +410,20 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 		// refresh their selection weights, then update luciferin.
 		// Invalid positions decay only, emulating the undefined log
 		// objective (paper Section V-F). Selection weights (e.g. KDE
-		// box masses) are taken at the start-of-iteration positions —
-		// the synchronous-update reading of Eq. 8 — rather than per
-		// candidate pair.
+		// box masses) are taken at the start-of-iteration positions,
+		// like everything else the synchronous movement reads, rather
+		// than per candidate pair.
 		batch = batch[:0]
 		for i, d := range dirty {
 			if d {
-				batch = append(batch, pos[i])
+				batch = append(batch, m.rows[i])
 			}
 		}
 		if len(batch) > 0 {
-			eval.run(batch, batchFit[:len(batch)], batchValid[:len(batch)])
+			eval.run(ctx, batch, batchFit[:len(batch)], batchValid[:len(batch)])
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			res.Evaluations += len(batch)
 		}
 		b := 0
@@ -432,7 +434,7 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 			fitness[i], valid[i] = batchFit[b], batchValid[b]
 			b++
 			if opts.Weight != nil {
-				wcache[i] = math.Max(0, opts.Weight(pos[i]))
+				m.weight[i] = math.Max(0, opts.Weight(m.rows[i]))
 			}
 			dirty[i] = false
 		}
@@ -449,101 +451,10 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 			}
 		}
 
-		// Phase 2: movement.
-		moved := 0
-		for i := 0; i < L; i++ {
-			if i%cancelEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			neighbors = neighbors[:0]
-			weights = weights[:0]
-			var totalW float64
-			pi, r := pos[i], radius[i]
-			// j is a neighbour iff !(dist(pi, pos[j]) > r). For a
-			// normal r², squared-distance partial sums decide that
-			// exactly outside the band [lo, hi] = r²·(1 ∓ 2⁻⁴⁸): the
-			// band is far wider than the rounding of r², of the
-			// thresholds and of the square root, so a partial sum past
-			// hi proves the distance exceeds r and a full sum below lo
-			// proves it does not. Only a sum inside the band takes the
-			// square root. A zero radius (common once a dense cluster
-			// shrinks it) is exact too: lo = hi = 0, and only a zero
-			// sum is a neighbour. Any other radius whose square is not
-			// normal keeps the plain test.
-			r2 := r * r
-			fast := allFinite && (r == 0 || r2 >= 0x1p-1022 && r2 <= math.MaxFloat64)
-			hi, lo := r2*(1+0x1p-48), r2*(1-0x1p-48)
-		scan:
-			for j := 0; j < L; j++ {
-				if j == i || luc[j] <= luc[i] {
-					continue
-				}
-				if fast {
-					pj := pos[j]
-					var s float64
-					for k := range pi {
-						d := pi[k] - pj[k]
-						s += d * d
-						if s > hi {
-							continue scan
-						}
-					}
-					if s >= lo && math.Sqrt(s) > r {
-						continue
-					}
-				} else if dist(pi, pos[j]) > r {
-					continue
-				}
-				w := luc[j] - luc[i]
-				if opts.Weight != nil {
-					w *= wcache[j]
-				}
-				if w <= 0 {
-					continue
-				}
-				neighbors = append(neighbors, j)
-				weights = append(weights, w)
-				totalW += w
-			}
-			// Adaptive radius uses the pre-move neighbourhood size.
-			radius[i] = math.Min(sensor, math.Max(0, r+p.Beta*(float64(p.DesiredNeighbors)-float64(len(neighbors)))))
-			if len(neighbors) == 0 || totalW <= 0 {
-				if opts.InvalidWalk > 0 && !valid[i] {
-					// Diffuse constraint-violating stragglers.
-					for j := 0; j < n; j++ {
-						delta := (rng.Float64()*2 - 1) * step * opts.InvalidWalk
-						pi[j] = clamp(pi[j]+delta, bounds.Min[j], bounds.Max[j])
-					}
-					dirty[i] = true
-					allFinite = allFinite && isFinite(pi)
-					moved++
-				}
-				continue
-			}
-			// Roulette selection over (ℓ_j − ℓ_i) · weight.
-			pick := rng.Float64() * totalW
-			sel := neighbors[len(neighbors)-1]
-			var cum float64
-			for k, w := range weights {
-				cum += w
-				if pick <= cum {
-					sel = neighbors[k]
-					break
-				}
-			}
-			d := dist(pi, pos[sel])
-			if d == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				pi[j] += step * (pos[sel][j] - pi[j]) / d
-				pi[j] = clamp(pi[j], bounds.Min[j], bounds.Max[j])
-			}
-			dirty[i] = true
-			allFinite = allFinite && isFinite(pi)
-			moved++
+		// Phase 2: synchronous movement.
+		moved := m.run(ctx, rng)
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 
 		meanFit := math.NaN()
@@ -564,11 +475,11 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 		}
 		res.Trace = append(res.Trace, it)
 		if opts.Observer != nil {
-			opts.Observer(it, SwarmView{Positions: pos, Fitness: fitness, Valid: valid, Luciferin: luc})
+			opts.Observer(it, SwarmView{Positions: m.rows, Fitness: fitness, Valid: valid, Luciferin: luc})
 		}
 		if opts.RecordHistory {
-			for i := 0; i < L; i++ {
-				res.History[i] = append(res.History[i], append([]float64(nil), pos[i]...))
+			for i, q := range m.rows {
+				res.History[i] = append(res.History[i], append([]float64(nil), q...))
 			}
 		}
 		res.Iterations = t + 1
@@ -589,11 +500,215 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 		}
 	}
 
-	res.Positions = pos
+	res.Positions = m.rows
 	res.Fitness = fitness
 	res.Valid = valid
 	res.Luciferin = luc
 	return res, nil
+}
+
+// mover runs the synchronous movement phase. Positions live in two
+// flat L·n buffers, viewed row by row: every worm reads the
+// start-of-iteration swarm in rows and writes only its own row of
+// nextRows, and the buffers swap when the phase ends. Luciferin,
+// radii, weights and validity are likewise read at their
+// start-of-iteration values, so no worm's move depends on another's.
+type mover struct {
+	n                int
+	bounds           geom.Rect
+	step, walk       float64 // movement step; InvalidWalk factor
+	sensor, beta, nt float64
+	weighted         bool
+	rows, nextRows   [][]float64 // per-worm views of the two position buffers
+	luc, radius      []float64
+	weight           []float64 // selection weight per worm; nil without Weight
+	valid, dirty     []bool
+	keys             []rankKey
+	rpos, rluc, rw   []float64 // positions, luciferin, weights in rank order
+	brighter         []int     // brighter[i]: worms strictly brighter than worm i
+	sq               []float64 // one worm's squared distances to the brighter ranks
+	nbr              []int     // one worm's neighbours, as ranks
+	w                []float64 // their selection weights
+}
+
+// rankKey orders worms by luciferin.
+type rankKey struct {
+	luc float64
+	i   int
+}
+
+// newMover allocates a swarm of p.Glowworms worms at luciferin ℓ_0
+// and radius r0, all dirty, with positions left for the caller to
+// fill in rows.
+func newMover(p Params, bounds geom.Rect, opts Options, step, sensor, r0 float64) *mover {
+	L, n := p.Glowworms, bounds.Dims()
+	m := &mover{
+		n: n, bounds: bounds, step: step, walk: opts.InvalidWalk,
+		sensor: sensor, beta: p.Beta, nt: float64(p.DesiredNeighbors),
+		weighted: opts.Weight != nil,
+		rows:     rowViews(make([]float64, L*n), n), nextRows: rowViews(make([]float64, L*n), n),
+		luc: make([]float64, L), radius: make([]float64, L),
+		valid: make([]bool, L), dirty: make([]bool, L),
+		keys: make([]rankKey, L), rpos: make([]float64, L*n), rluc: make([]float64, L),
+		brighter: make([]int, L), sq: make([]float64, L),
+	}
+	for i := range L {
+		m.luc[i], m.radius[i], m.dirty[i] = p.InitLuciferin, r0, true
+		m.keys[i].i = i
+	}
+	if m.weighted {
+		m.weight, m.rw = make([]float64, L), make([]float64, L)
+	}
+	return m
+}
+
+// rowViews slices a flat L·n buffer into L rows of n coordinates, each
+// capped at its own length.
+func rowViews(flat []float64, n int) [][]float64 {
+	rows := make([][]float64, len(flat)/n)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
+}
+
+// run moves every worm, in index order, and returns how many moved.
+// Roulette and walk draws come from rng in that order. It stops early,
+// leaving the swarm half-moved, when ctx is cancelled; the caller
+// checks ctx and discards the run.
+func (m *mover) run(ctx context.Context, rng *rand.Rand) int {
+	m.rank()
+	moved := 0
+	for i := range m.rows {
+		if i%cancelEvery == 0 && ctx.Err() != nil {
+			break
+		}
+		if m.move(i, rng) {
+			moved++
+		}
+	}
+	m.rows, m.nextRows = m.nextRows, m.rows
+	return moved
+}
+
+// rank sorts the swarm by luciferin, brightest first, ties in index
+// order and NaN last, and lays positions, luciferin and weights out in
+// that order. The worms strictly brighter than worm i are then exactly
+// the first brighter[i] ranks; NaN luciferin is outshone by nothing
+// and outshines nothing, so its worms get 0.
+func (m *mover) rank() {
+	n := m.n
+	// The keys start in the previous iteration's order, which one
+	// luciferin update mostly preserves, so the sort runs on nearly
+	// sorted input. The order is total, so the result does not depend
+	// on where the keys start.
+	for k := range m.keys {
+		m.keys[k].luc = m.luc[m.keys[k].i]
+	}
+	slices.SortFunc(m.keys, func(a, b rankKey) int {
+		if c := cmp.Compare(b.luc, a.luc); c != 0 {
+			return c
+		}
+		return a.i - b.i
+	})
+	group := 0
+	for k, key := range m.keys {
+		if k > 0 && m.keys[k-1].luc > key.luc {
+			group = k
+		}
+		m.brighter[key.i] = group
+		if math.IsNaN(key.luc) {
+			m.brighter[key.i] = 0
+		}
+		copy(m.rpos[k*n:(k+1)*n], m.rows[key.i])
+		m.rluc[k] = key.luc
+		if m.weighted {
+			m.rw[k] = m.weight[key.i]
+		}
+	}
+}
+
+// move takes worm i's step: it scans the brighter ranks for neighbours
+// within its radius, adapts the radius, and writes its next position.
+// It reports whether the worm moved.
+func (m *mover) move(i int, rng *rand.Rand) bool {
+	n := m.n
+	pi, ni := m.rows[i], m.nextRows[i]
+	r, li := m.radius[i], m.luc[i]
+	// j is a neighbour iff !(dist(pi, pos[j]) > r). For a normal r²,
+	// the squared distance s decides that exactly outside the band
+	// [lo, hi] = r²·(1 ∓ 2⁻⁴⁸): the band is far wider than the
+	// rounding of r², of the thresholds and of the square root, so
+	// s > hi proves the distance exceeds r and s < lo proves it does
+	// not. Only a sum inside the band takes the square root. A zero
+	// radius (common once a dense cluster shrinks it) is exact too:
+	// lo = hi = 0, and only s = 0 is a neighbour. Any other radius
+	// sends every sum to the square root. A NaN sum (a NaN coordinate)
+	// fails both comparisons and counts as a neighbour, as NaN > r
+	// does; an infinite one lands above hi, as +Inf > r does.
+	r2 := r * r
+	lo, hi := 0.0, math.Inf(1)
+	if r == 0 || r2 >= 0x1p-1022 && r2 <= math.MaxFloat64 {
+		lo, hi = r2*(1-0x1p-48), r2*(1+0x1p-48)
+	}
+	nb := m.brighter[i]
+	sq := m.sq[:nb]
+	sqDists(sq, pi, m.rpos[:nb*n])
+	nbr, ws := m.nbr[:0], m.w[:0]
+	var totalW float64
+	for k, s := range sq {
+		if s > hi || s >= lo && math.Sqrt(s) > r {
+			continue
+		}
+		w := m.rluc[k] - li
+		if m.weighted {
+			w *= m.rw[k]
+		}
+		if w <= 0 {
+			continue
+		}
+		nbr = append(nbr, k)
+		ws = append(ws, w)
+		totalW += w
+	}
+	m.nbr, m.w = nbr, ws
+	// Adaptive radius uses the pre-move neighbourhood size.
+	m.radius[i] = math.Min(m.sensor, math.Max(0, r+m.beta*(m.nt-float64(len(nbr)))))
+	if len(nbr) == 0 || totalW <= 0 {
+		if m.walk > 0 && !m.valid[i] {
+			// Diffuse constraint-violating stragglers.
+			for c := range ni {
+				delta := (rng.Float64()*2 - 1) * m.step * m.walk
+				ni[c] = clamp(pi[c]+delta, m.bounds.Min[c], m.bounds.Max[c])
+			}
+			m.dirty[i] = true
+			return true
+		}
+		copy(ni, pi)
+		return false
+	}
+	// Roulette selection over (ℓ_j − ℓ_i) · weight.
+	pick := rng.Float64() * totalW
+	sel := nbr[len(nbr)-1]
+	var cum float64
+	for k, w := range ws {
+		cum += w
+		if pick <= cum {
+			sel = nbr[k]
+			break
+		}
+	}
+	ps := m.rpos[sel*n : (sel+1)*n]
+	d := dist(pi, ps)
+	if d == 0 {
+		copy(ni, pi)
+		return false
+	}
+	for c := range ni {
+		ni[c] = clamp(pi[c]+m.step*(ps[c]-pi[c])/d, m.bounds.Min[c], m.bounds.Max[c])
+	}
+	m.dirty[i] = true
+	return true
 }
 
 // InitialRadius implements the paper's Section V-G heuristic
@@ -637,10 +752,12 @@ func newSwarmEvaluator(obj Objective, workers, swarm int) *swarmEvaluator {
 
 // run fills fitness and valid for every position, sharding the swarm
 // across the worker goroutines. Shards are contiguous and written
-// disjointly, so results match the sequential evaluation exactly.
-func (e *swarmEvaluator) run(pos [][]float64, fitness []float64, valid []bool) {
+// disjointly, so results match the sequential evaluation exactly. A
+// shard stops between chunks once ctx is cancelled, leaving the rest
+// unscored; the caller checks ctx and discards the run.
+func (e *swarmEvaluator) run(ctx context.Context, pos [][]float64, fitness []float64, valid []bool) {
 	if e.workers == 1 {
-		e.shard(0, pos, fitness, valid)
+		e.shard(ctx, 0, pos, fitness, valid)
 		return
 	}
 	var wg sync.WaitGroup
@@ -654,47 +771,73 @@ func (e *swarmEvaluator) run(pos [][]float64, fitness []float64, valid []bool) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			e.shard(w, pos[lo:hi], fitness[lo:hi], valid[lo:hi])
+			e.shard(ctx, w, pos[lo:hi], fitness[lo:hi], valid[lo:hi])
 		}(w, lo, hi)
 	}
 	wg.Wait()
 }
 
-// shard evaluates one contiguous slice of the swarm on worker w.
-func (e *swarmEvaluator) shard(w int, pos [][]float64, fitness []float64, valid []bool) {
-	if e.batch != nil {
-		e.batch[w].EvaluateBatch(pos, fitness, valid)
-		return
-	}
-	for i := range pos {
-		fitness[i], valid[i] = e.obj.Fitness(pos[i])
+// shard evaluates one contiguous slice of the swarm on worker w, in
+// calls of at most evalChunk positions with a ctx check between them.
+func (e *swarmEvaluator) shard(ctx context.Context, w int, pos [][]float64, fitness []float64, valid []bool) {
+	for lo := 0; lo < len(pos); lo += evalChunk {
+		if lo > 0 && ctx.Err() != nil {
+			return
+		}
+		hi := min(lo+evalChunk, len(pos))
+		if e.batch != nil {
+			e.batch[w].EvaluateBatch(pos[lo:hi], fitness[lo:hi], valid[lo:hi])
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			fitness[i], valid[i] = e.obj.Fitness(pos[i])
+		}
 	}
 }
 
-func randomPoint(rng *rand.Rand, bounds geom.Rect) []float64 {
-	p := make([]float64, bounds.Dims())
+// randomPoint fills p with a uniform draw from bounds.
+func randomPoint(rng *rand.Rand, bounds geom.Rect, p []float64) {
 	for j := range p {
 		p[j] = bounds.Min[j] + rng.Float64()*(bounds.Max[j]-bounds.Min[j])
 	}
-	return p
 }
 
 func dist(a, b []float64) float64 {
 	var s float64
 	for j := range a {
 		d := a[j] - b[j]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }
 
-func isFinite(p []float64) bool {
-	for _, v := range p {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
+// sqDists writes to dst[k] the squared distance from p to the k-th
+// len(p)-coordinate row of rows, bit-identical to the square of what
+// dist sums: coordinates are added in order, and the float64
+// conversions forbid fusing a multiply into the add. Six coordinates
+// (a region over 3-D data) are unrolled so consecutive rows' sums
+// overlap in the pipeline.
+func sqDists(dst, p, rows []float64) {
+	if len(p) == 6 {
+		p0, p1, p2, p3, p4, p5 := p[0], p[1], p[2], p[3], p[4], p[5]
+		for k := range dst {
+			q := rows[6*k : 6*k+6 : 6*k+6]
+			d0, d1, d2, d3, d4, d5 := p0-q[0], p1-q[1], p2-q[2], p3-q[3], p4-q[4], p5-q[5]
+			dst[k] = float64(d0*d0) + float64(d1*d1) + float64(d2*d2) +
+				float64(d3*d3) + float64(d4*d4) + float64(d5*d5)
 		}
+		return
 	}
-	return true
+	n := len(p)
+	for k := range dst {
+		q := rows[k*n : k*n+n : k*n+n]
+		var s float64
+		for c, v := range p {
+			d := v - q[c]
+			s += float64(d * d)
+		}
+		dst[k] = s
+	}
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -2,6 +2,8 @@ package gso
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"surf/internal/geom"
@@ -375,28 +377,68 @@ func distTo(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// TestParallelWorkersMatchSequential: the swarm is a function of the
+// seed alone. Sharding the evaluation over 1, 2 or 3 workers (or 8,
+// more than this swarm's shards need) gives bit-identical positions,
+// fitness, luciferin and trace.
 func TestParallelWorkersMatchSequential(t *testing.T) {
 	obj := &peaksObjective{centers: [][]float64{{0.3, 0.3}, {0.7, 0.7}}, sigma: 0.1}
 	p := DefaultParams()
 	p.MaxIters = 60
-	seq, err := Run(p, geom.Unit(2), obj, Options{})
+	p.Workers = 1
+	seq, err := Run(p, geom.Unit(2), obj, Options{InvalidWalk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Workers = 8
-	par, err := Run(p, geom.Unit(2), obj, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.Positions {
-		for j := range seq.Positions[i] {
-			if seq.Positions[i][j] != par.Positions[i][j] {
-				t.Fatalf("worker parallelism changed trajectories at worm %d dim %d", i, j)
+	for _, workers := range []int{2, 3, 8} {
+		p.Workers = workers
+		par, err := Run(p, geom.Unit(2), obj, Options{InvalidWalk: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range seq.Positions {
+			if !slices.Equal(bits(seq.Positions[i]), bits(par.Positions[i])) {
+				t.Fatalf("workers=%d: position[%d] = %v, want %v", workers, i, par.Positions[i], seq.Positions[i])
 			}
 		}
+		if !slices.Equal(bits(seq.Fitness), bits(par.Fitness)) {
+			t.Fatalf("workers=%d: fitness differs", workers)
+		}
+		if !slices.Equal(bits(seq.Luciferin), bits(par.Luciferin)) {
+			t.Fatalf("workers=%d: luciferin differs", workers)
+		}
+		if !slices.EqualFunc(seq.Trace, par.Trace, sameStats) {
+			t.Fatalf("workers=%d: trace differs", workers)
+		}
+		if seq.Evaluations != par.Evaluations {
+			t.Errorf("workers=%d: evaluation counts differ: %d vs %d", workers, seq.Evaluations, par.Evaluations)
+		}
 	}
-	if seq.Evaluations != par.Evaluations {
-		t.Errorf("evaluation counts differ: %d vs %d", seq.Evaluations, par.Evaluations)
+}
+
+// TestScratchIndependentOfWorkers: a run's allocations do not grow
+// with Workers. Only the evaluation shards over the workers, and its
+// shards split the moved worms rather than each holding a swarm-sized
+// buffer; the movement phase keeps one O(L) scratch set. Workers is
+// client-set over HTTP, so it must not multiply a query's memory.
+func TestScratchIndependentOfWorkers(t *testing.T) {
+	obj := &peaksObjective{centers: [][]float64{{0.3, 0.3}}, sigma: 0.1}
+	p := DefaultParams()
+	p.Glowworms, p.MaxIters = 800, 3
+	allocated := func(workers int) uint64 {
+		p.Workers = workers
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Run(p, geom.Unit(2), obj, Options{InvalidWalk: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, many := allocated(1), allocated(100)
+	if many > 2*one {
+		t.Fatalf("Workers=100 allocated %d bytes, Workers=1 %d: scratch grows with Workers", many, one)
 	}
 }
 

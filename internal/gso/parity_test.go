@@ -24,7 +24,9 @@ type parityCase struct {
 // bumpsFn is a two-bump landscape over the bounds' normalized
 // coordinates, undefined on a slab near the lower edge of dimension 0
 // so that InvalidWalk and the dim-worm rules are exercised. With inf
-// set, a corner pocket returns +Inf with ok=true.
+// set, a corner pocket returns +Inf and a slab beside the undefined one
+// returns -Inf, both with ok=true, so the luciferin order meets +Inf,
+// -Inf and (once a +Inf worm crosses into the slab) NaN.
 func bumpsFn(bounds geom.Rect, inf bool) func(pos []float64) (float64, bool) {
 	return func(pos []float64) (float64, bool) {
 		u0 := (pos[0] - bounds.Min[0]) / (bounds.Max[0] - bounds.Min[0])
@@ -33,6 +35,9 @@ func bumpsFn(bounds geom.Rect, inf bool) func(pos []float64) (float64, bool) {
 		}
 		if inf && u0 > 0.9 {
 			return math.Inf(1), true
+		}
+		if inf && u0 < 0.3 {
+			return math.Inf(-1), true
 		}
 		var a, b float64
 		for k, v := range pos {
@@ -127,11 +132,7 @@ func checkParity(t *testing.T, c parityCase) {
 	}
 	evals := c.params.Glowworms
 	for k, w := range want.Trace {
-		g := got.Trace[k]
-		if g.Iteration != w.Iteration || g.Moved != w.Moved ||
-			math.Float64bits(g.MeanFitness) != math.Float64bits(w.MeanFitness) ||
-			math.Float64bits(g.MeanLuciferin) != math.Float64bits(w.MeanLuciferin) ||
-			math.Float64bits(g.ValidFrac) != math.Float64bits(w.ValidFrac) {
+		if g := got.Trace[k]; !sameStats(g, w) {
 			t.Fatalf("trace[%d] = %+v, want %+v", k, g, w)
 		}
 		if k < len(want.Trace)-1 {
@@ -152,6 +153,14 @@ func checkParity(t *testing.T, c parityCase) {
 			t.Fatalf("observer view %d differs", k)
 		}
 	}
+}
+
+// sameStats reports whether two trace entries are bit-identical.
+func sameStats(a, b IterStats) bool {
+	return a.Iteration == b.Iteration && a.Moved == b.Moved &&
+		math.Float64bits(a.MeanFitness) == math.Float64bits(b.MeanFitness) &&
+		math.Float64bits(a.MeanLuciferin) == math.Float64bits(b.MeanLuciferin) &&
+		math.Float64bits(a.ValidFrac) == math.Float64bits(b.ValidFrac)
 }
 
 func bits(v []float64) []uint64 {
@@ -301,23 +310,67 @@ func FuzzSwarmParity(f *testing.F) {
 
 // TestCancelInsideIteration: cancellation that arrives during an
 // iteration's evaluation stops the run before that iteration's
-// movement phase completes, so the Observer never fires.
+// movement phase completes, so the Observer never fires. A batch
+// objective is handed the swarm in evalChunk-row chunks with a
+// context check between them, so a cancel inside the first chunk
+// keeps the later chunks from running.
 func TestCancelInsideIteration(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	obj := ObjectiveFunc(func(pos []float64) (float64, bool) {
-		cancel()
-		return pos[0], true
+	t.Run("scalar", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		obj := ObjectiveFunc(func(pos []float64) (float64, bool) {
+			cancel()
+			return pos[0], true
+		})
+		fired := 0
+		opts := Options{Observer: func(IterStats, SwarmView) { fired++ }}
+		p := DefaultParams()
+		p.Glowworms = 200
+		_, err := RunContext(ctx, p, geom.Unit(2), obj, opts)
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if fired != 0 {
+			t.Fatalf("observer fired %d times after cancellation", fired)
+		}
 	})
-	fired := 0
-	opts := Options{Observer: func(IterStats, SwarmView) { fired++ }}
-	p := DefaultParams()
-	p.Glowworms = 200
-	_, err := RunContext(ctx, p, geom.Unit(2), obj, opts)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if fired != 0 {
-		t.Fatalf("observer fired %d times after cancellation", fired)
-	}
+	t.Run("batch-chunk", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var chunks, rows int
+		obj := chunkCounter{calls: &chunks, fn: func(pos []float64) (float64, bool) {
+			if rows++; rows == 1 {
+				cancel()
+			}
+			return pos[0], true
+		}}
+		fired := 0
+		opts := Options{Observer: func(IterStats, SwarmView) { fired++ }}
+		p := DefaultParams()
+		p.Glowworms = 4 * evalChunk
+		_, err := RunContext(ctx, p, geom.Unit(2), obj, opts)
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if chunks != 1 || rows != evalChunk {
+			t.Fatalf("evaluated %d chunks (%d rows) after cancelling in the first; want 1 (%d rows)", chunks, rows, evalChunk)
+		}
+		if fired != 0 {
+			t.Fatalf("observer fired %d times after cancellation", fired)
+		}
+	})
+}
+
+// chunkCounter is a batch objective that counts EvaluateBatch calls.
+type chunkCounter struct {
+	fn    func(pos []float64) (float64, bool)
+	calls *int
+}
+
+func (c chunkCounter) Fitness(pos []float64) (float64, bool) { return c.fn(pos) }
+func (c chunkCounter) NewBatchEvaluator() BatchEvaluator     { return c }
+
+func (c chunkCounter) EvaluateBatch(pos [][]float64, fitness []float64, valid []bool) {
+	*c.calls++
+	batchFnEval(c.fn).EvaluateBatch(pos, fitness, valid)
 }

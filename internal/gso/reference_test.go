@@ -6,15 +6,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 
 	"surf/internal/geom"
 )
 
-// runReference is the straightforward GSO loop that RunContext
-// optimizes: every worm is scored and weighted every iteration, and
-// every brighter pair pays a full distance with a square root. It is
-// the parity oracle for TestSwarmParity and FuzzSwarmParity — RunContext
-// must reproduce its swarm bit for bit. Do not optimize it.
+// runReference is the plain synchronous GSO loop that RunContext
+// optimizes: every worm is scored and weighted every iteration, every
+// worm scans every other worm in the canonical luciferin order and
+// keeps the strictly brighter ones within a full square-root distance,
+// and every worm moves against the start-of-iteration swarm into a
+// second buffer, drawing from the run's one random stream in index
+// order. It is the parity oracle for TestSwarmParity and
+// FuzzSwarmParity — RunContext must reproduce its swarm bit for bit.
+// Do not optimize it.
 func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -69,7 +74,8 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 		}
 	} else {
 		for i := range pos {
-			pos[i] = randomPoint(rng, bounds)
+			pos[i] = make([]float64, n)
+			randomPoint(rng, bounds, pos[i])
 		}
 	}
 
@@ -94,16 +100,18 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 	if opts.Weight != nil {
 		wcache = make([]float64, L)
 	}
-	eval := newSwarmEvaluator(obj, p.Workers, L)
 
 	for t := 0; t < p.MaxIters; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Phase 1: fitness evaluation (optionally parallel) followed
-		// by the luciferin update. Invalid positions decay only,
-		// emulating the undefined log objective (paper Section V-F).
-		eval.run(pos, fitness, valid)
+		// Phase 1: fitness evaluation, one Fitness call per worm,
+		// followed by the luciferin update. Invalid positions decay
+		// only, emulating the undefined log objective (paper Section
+		// V-F).
+		for i := range pos {
+			fitness[i], valid[i] = obj.Fitness(pos[i])
+		}
 		res.Evaluations += L
 		var sumFit float64
 		var nValid int
@@ -118,22 +126,36 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 			}
 		}
 
-		// Phase 2: movement. Selection weights (e.g. KDE box masses)
-		// are evaluated once per particle per iteration against the
-		// start-of-phase positions — the synchronous-update reading
-		// of Eq. 8 — rather than per candidate pair.
+		// Phase 2: synchronous movement. Selection weights (e.g. KDE
+		// box masses) are evaluated once per particle per iteration
+		// against the start-of-phase positions, rather than per
+		// candidate pair; every worm reads pos, luc and wcache as they
+		// stand and writes only next[i].
 		if opts.Weight != nil {
 			for i := 0; i < L; i++ {
 				wcache[i] = math.Max(0, opts.Weight(pos[i]))
 			}
 		}
+		// The canonical order: brightest first, NaN last, ties by
+		// index. Neighbours are collected, and their weights summed, in
+		// this order.
+		order := make([]int, L)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			la, lb := luc[order[a]], luc[order[b]]
+			return la > lb || !math.IsNaN(la) && math.IsNaN(lb)
+		})
+		next := make([][]float64, L)
 		moved := 0
 		for i := 0; i < L; i++ {
+			next[i] = append([]float64(nil), pos[i]...)
 			neighbors = neighbors[:0]
 			weights = weights[:0]
 			var totalW float64
-			for j := 0; j < L; j++ {
-				if j == i || luc[j] <= luc[i] {
+			for _, j := range order {
+				if !(luc[j] > luc[i]) {
 					continue
 				}
 				if dist(pos[i], pos[j]) > radius[i] {
@@ -157,7 +179,7 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 					// Diffuse constraint-violating stragglers.
 					for j := 0; j < n; j++ {
 						delta := (rng.Float64()*2 - 1) * step * opts.InvalidWalk
-						pos[i][j] = clamp(pos[i][j]+delta, bounds.Min[j], bounds.Max[j])
+						next[i][j] = clamp(pos[i][j]+delta, bounds.Min[j], bounds.Max[j])
 					}
 					moved++
 				}
@@ -179,11 +201,12 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 				continue
 			}
 			for j := 0; j < n; j++ {
-				pos[i][j] += step * (pos[sel][j] - pos[i][j]) / d
-				pos[i][j] = clamp(pos[i][j], bounds.Min[j], bounds.Max[j])
+				next[i][j] = pos[i][j] + step*(pos[sel][j]-pos[i][j])/d
+				next[i][j] = clamp(next[i][j], bounds.Min[j], bounds.Max[j])
 			}
 			moved++
 		}
+		pos = next
 
 		meanFit := math.NaN()
 		if nValid > 0 {

@@ -106,9 +106,10 @@ type Query struct {
 	// scale the surrogate was trained on.
 	MinSideFrac float64 `json:"min_side_frac,omitempty"`
 	MaxSideFrac float64 `json:"max_side_frac,omitempty"`
-	// Workers parallelizes the swarm's fitness evaluations across
-	// this many goroutines (0 or 1 = sequential). Results are
-	// bit-identical to the sequential run.
+	// Workers runs the swarm's fitness evaluations on this many
+	// goroutines (0 or 1 = sequential); the glowworms move on one.
+	// Results are bit-identical to the sequential run: the result
+	// depends on Seed, never on Workers.
 	Workers int `json:"workers,omitempty"`
 	// SkipVerify leaves regions unverified against the true f
 	// (verification costs one data scan per region).
@@ -139,7 +140,8 @@ type TopKQuery struct {
 	// UseTrueFunction bypasses the surrogate (O(N) per evaluation).
 	UseTrueFunction bool `json:"use_true_function,omitempty"`
 	// Glowworms, Iterations, MinSideFrac, MaxSideFrac, Workers and
-	// Seed behave as in Query.
+	// Seed behave as in Query: Workers parallelizes evaluation and
+	// never changes the result.
 	Glowworms   int     `json:"glowworms,omitempty"`
 	Iterations  int     `json:"iterations,omitempty"`
 	MinSideFrac float64 `json:"min_side_frac,omitempty"`

@@ -335,14 +335,24 @@ func expectedResult(t *testing.T, spec Spec, q surf.Query) *surf.Result {
 	return res
 }
 
+// swapQuery is fastQuery at a threshold low enough that both fixture
+// artifacts return several regions, so the two answers differ in their
+// regions and estimates rather than in whether one stray worm
+// survives the swarm.
+var swapQuery = func() surf.Query {
+	q := fastQuery
+	q.Threshold = 5
+	return q
+}()
+
 // TestHotSwapConsistency is the acceptance race: queries hammer an
 // entry while its artifact is hot-swapped mid-flight. Every request
 // must succeed and see exactly the old or the new model's result —
 // never an error, never a torn mix.
 func TestHotSwapConsistency(t *testing.T) {
 	fx := newFixture(t, 300)
-	wantA := expectedResult(t, fx.spec(fx.artifactA), fastQuery)
-	wantB := expectedResult(t, fx.spec(fx.artifactB), fastQuery)
+	wantA := expectedResult(t, fx.spec(fx.artifactA), swapQuery)
+	wantB := expectedResult(t, fx.spec(fx.artifactB), swapQuery)
 	if regionsEqual(wantA, wantB) {
 		t.Fatal("fixture artifacts are not distinguishable; the test would prove nothing")
 	}
@@ -369,7 +379,7 @@ func TestHotSwapConsistency(t *testing.T) {
 				h, err := r.Acquire(ctx, "d")
 				if err == nil {
 					var res *surf.Result
-					res, err = h.Find(ctx, fastQuery)
+					res, err = h.Find(ctx, swapQuery)
 					version := h.Version()
 					h.Release()
 					if err == nil {
@@ -415,7 +425,7 @@ func TestHotSwapConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	res, err := h.Find(ctx, fastQuery)
+	res, err := h.Find(ctx, swapQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
