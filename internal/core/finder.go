@@ -196,11 +196,33 @@ func (f *Finder) AttachBatch(p BatchPredictor) { f.batch = p }
 // AttachDensity fits the Eq. 8 KDE prior over a sample of data points
 // (rows in domain space). maxSample caps the KDE's retained points.
 func (f *Finder) AttachDensity(points [][]float64, maxSample int, seed uint64) error {
-	rng := rand.New(rand.NewPCG(seed, 0xaef17502108ef2d9))
-	k, err := kde.Fit(points, kde.Options{MaxSample: maxSample, Rng: rng})
+	k, err := kde.Fit(points, densityOptions(maxSample, seed))
 	if err != nil {
 		return err
 	}
+	return f.setDensity(k)
+}
+
+// AttachDensityRows is AttachDensity over n data rows built on demand:
+// row(i) returns row i in domain space, and only the rows the KDE's
+// sample keeps are built. It attaches exactly the KDE AttachDensity
+// fits over all n rows with the same maxSample and seed.
+func (f *Finder) AttachDensityRows(n int, row func(i int) []float64, maxSample int, seed uint64) error {
+	k, err := kde.FitRows(n, row, densityOptions(maxSample, seed))
+	if err != nil {
+		return err
+	}
+	return f.setDensity(k)
+}
+
+// densityOptions are the KDE fit options of both attach paths: the
+// sample cap and the seeded stream its subsample is drawn from.
+func densityOptions(maxSample int, seed uint64) kde.Options {
+	return kde.Options{MaxSample: maxSample, Rng: rand.New(rand.NewPCG(seed, 0xaef17502108ef2d9))}
+}
+
+// setDensity attaches k after checking it matches the domain.
+func (f *Finder) setDensity(k *kde.KDE) error {
 	if k.Dims() != f.domain.Dims() {
 		return fmt.Errorf("core: density of dimension %d for domain of dimension %d", k.Dims(), f.domain.Dims())
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -221,6 +222,22 @@ func TestFig9ConvergenceShape(t *testing.T) {
 	curves := findTable(t, rep, "eJ")
 	if len(curves.Rows) == 0 {
 		t.Fatal("no convergence curves")
+	}
+	// Like every Find, the swarm random-walks its invalid worms, so the
+	// 2-D and 4-D settings each reach a valid region: a finite E[J] at
+	// some sampled iteration.
+	finite := map[[2]float64]bool{}
+	for i := range curves.Rows {
+		if !math.IsNaN(cell(t, curves, i, 3)) {
+			finite[[2]float64{cell(t, curves, i, 0), cell(t, curves, i, 1)}] = true
+		}
+	}
+	for _, k := range []float64{1, 3} {
+		for _, dims := range []float64{2, 4} {
+			if !finite[[2]float64{k, dims}] {
+				t.Errorf("k=%g region_dims=%g: E[J] is NaN at every sampled iteration", k, dims)
+			}
+		}
 	}
 }
 

@@ -40,14 +40,19 @@ func (f *byteFeed) next() byte {
 	return b
 }
 
+// fuzzMaxDepth forces a leaf at this depth: deep enough to cover the
+// hyper-tuning grid's depth-9 trees, so the binned kernel's
+// fixed-depth walks meet lopsided trees of every depth it serves.
+const fuzzMaxDepth = 10
+
 // decodeTree appends one tree rooted at the returned index: a control
-// byte picks leaf vs split (always leaf at depth 6), then feature and
-// threshold bytes index the pools.
+// byte picks leaf vs split (always leaf at fuzzMaxDepth), then feature
+// and threshold bytes index the pools.
 func decodeTree(f *byteFeed, nfeat, depth int, nodes *[]Node) int32 {
 	idx := int32(len(*nodes))
 	*nodes = append(*nodes, Node{})
 	b := f.next()
-	if depth >= 6 || b&3 == 0 {
+	if depth >= fuzzMaxDepth || b&3 == 0 {
 		(*nodes)[idx] = Node{Feature: LeafFeature, Threshold: fuzzWeights[int(b)%len(fuzzWeights)]}
 		return idx
 	}

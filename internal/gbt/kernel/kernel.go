@@ -7,7 +7,11 @@
 //
 // Compile is the one compile path. It builds the "binned" encoding,
 // which quantizes thresholds into per-feature cut ranks at compile
-// time and walks uint16 bin indices. When the ensemble exceeds that
+// time and walks uint16 bin indices. Its leaves loop to themselves, so
+// every walk takes exactly its tree's depth in steps with no per-node
+// leaf test: four rows walk one tree in lockstep, and a lone row (a
+// one-row batch, or a batch's last rows) walks four trees in lockstep
+// instead. When the ensemble exceeds that
 // encoding (more than 65535 features, or more than 65535 distinct
 // cuts on one feature) it falls back to "scalar", the portable
 // flat-node float64 traversal, which represents everything and doubles

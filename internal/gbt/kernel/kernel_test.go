@@ -129,6 +129,69 @@ func TestParityHandcrafted(t *testing.T) {
 	}
 }
 
+// lopsided builds a tree of the given depth with a leaf at depth 1
+// and one path down to the bottom: split k tests feature k mod nfeat
+// at threshold k/4, one child is a leaf and the other the next split
+// (the right child, or the left when mirrored).
+func lopsided(depth int, nfeat int32, mirrored bool) []Node {
+	var t []Node
+	for k := 0; k < depth; k++ {
+		i := int32(len(t))
+		split := Node{Feature: int32(k) % nfeat, Threshold: float64(k) / 4, Left: i + 1, Right: i + 2}
+		if mirrored {
+			split.Left, split.Right = split.Right, split.Left
+		}
+		t = append(t, split, leafOf(0.1*float64(k+1)))
+	}
+	return append(t, leafOf(1e16))
+}
+
+// TestParityFixedDepthShapes holds the binned kernel's fixed-depth
+// walks to the scalar walk on the shapes they are most likely to get
+// wrong: trees of very different depths sharing a four-tree lockstep
+// group (a single leaf, a stump, lopsided trees with a leaf at depth 1
+// next to one deep path), every ensemble size from 0 to 9 trees (so
+// every tree-group remainder), and every batch size from 1 to 9 (so
+// four-row groups with every row remainder). Leaf weights mix
+// magnitudes, so a changed summation order would show in the bits.
+func TestParityFixedDepthShapes(t *testing.T) {
+	const nfeat = 3
+	shapes := [][]Node{
+		{leafOf(-0.3)},
+		stump(1, 0.25, -1e16, 0.7),
+		lopsided(7, nfeat, false),
+		lopsided(4, nfeat, true),
+		{
+			{Feature: 2, Threshold: 0.5, Left: 1, Right: 2},
+			{Feature: 0, Threshold: math.Inf(-1), Left: 3, Right: 4},
+			leafOf(1e-3),
+			leafOf(3), leafOf(-5),
+		},
+	}
+	vals := []float64{
+		math.NaN(), math.Inf(-1), math.Inf(1), -1, 0, 0.25,
+		math.Nextafter(0.5, 1), 0.75, 1.5, 3,
+	}
+	rows := make([][]float64, 9)
+	for r := range rows {
+		rows[r] = make([]float64, nfeat)
+		for j := range rows[r] {
+			rows[r][j] = vals[(3*r+7*j)%len(vals)]
+		}
+	}
+	for ntrees := 0; ntrees <= 9; ntrees++ {
+		for shift := range shapes {
+			e := Ensemble{BaseScore: 0.125, NumFeatures: nfeat}
+			for i := 0; i < ntrees; i++ {
+				e.Trees = append(e.Trees, shapes[(i+shift)%len(shapes)])
+			}
+			for n := 1; n <= len(rows); n++ {
+				assertParity(t, e, rows[:n])
+			}
+		}
+	}
+}
+
 // TestCompileFallback: an ensemble past the binned encoding limits
 // must fail compileBinned, and Compile must then serve it through the
 // scalar encoding — reported by Model.Name so the engine's

@@ -54,24 +54,38 @@ func Fit(points [][]float64, opts Options) (*KDE, error) {
 	if len(points) == 0 {
 		return nil, ErrEmptySample
 	}
-	dims := len(points[0])
+	for i, p := range points {
+		if len(p) != len(points[0]) {
+			return nil, fmt.Errorf("kde: point %d has dimension %d, want %d", i, len(p), len(points[0]))
+		}
+	}
+	return FitRows(len(points), func(i int) []float64 { return points[i] }, opts)
+}
+
+// FitRows is Fit over n points built on demand: row(i) returns point
+// i, and it is called only for the points the sample keeps, in sample
+// order. A caller holding the data in another layout (columns, say)
+// then builds MaxSample points rather than n. Given Rng in the same
+// state, FitRows fits exactly the KDE Fit fits over all n points.
+func FitRows(n int, row func(i int) []float64, opts Options) (*KDE, error) {
+	if n == 0 {
+		return nil, ErrEmptySample
+	}
+	idx, err := sampleIndex(n, opts)
+	if err != nil {
+		return nil, err
+	}
+	sample := make([][]float64, len(idx))
+	for i, j := range idx {
+		sample[i] = row(j)
+	}
+	dims := len(sample[0])
 	if dims == 0 {
 		return nil, errors.New("kde: zero-dimensional points")
 	}
-	for i, p := range points {
+	for i, p := range sample {
 		if len(p) != dims {
-			return nil, fmt.Errorf("kde: point %d has dimension %d, want %d", i, len(p), dims)
-		}
-	}
-	sample := points
-	if opts.MaxSample > 0 && len(points) > opts.MaxSample {
-		if opts.Rng == nil {
-			return nil, errors.New("kde: MaxSample truncation requires Options.Rng")
-		}
-		idx := opts.Rng.Perm(len(points))[:opts.MaxSample]
-		sample = make([][]float64, opts.MaxSample)
-		for i, j := range idx {
-			sample[i] = points[j]
+			return nil, fmt.Errorf("kde: point %d has dimension %d, want %d", idx[i], len(p), dims)
 		}
 	}
 	k := &KDE{points: sample, dims: dims}
@@ -89,6 +103,23 @@ func Fit(points [][]float64, opts Options) (*KDE, error) {
 	}
 	k.bandwidth = scottBandwidth(sample, dims)
 	return k, nil
+}
+
+// sampleIndex returns the indices of the n points a fit keeps, in
+// sample order: all of them in order, or the first MaxSample entries
+// of a uniform permutation drawn from Rng when MaxSample truncates.
+func sampleIndex(n int, opts Options) ([]int, error) {
+	if opts.MaxSample <= 0 || n <= opts.MaxSample {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		return idx, nil
+	}
+	if opts.Rng == nil {
+		return nil, errors.New("kde: MaxSample truncation requires Options.Rng")
+	}
+	return opts.Rng.Perm(n)[:opts.MaxSample], nil
 }
 
 // scottBandwidth computes h_j = σ_j n^(−1/(d+4)) (Scott's rule for a

@@ -53,6 +53,45 @@ func TestMaxSample(t *testing.T) {
 	}
 }
 
+// TestFitRowsMatchesFit: FitRows builds only the rows its sample keeps
+// and still fits the KDE Fit fits over all rows, bit for bit, both
+// when MaxSample truncates and when it keeps every row.
+func TestFitRowsMatchesFit(t *testing.T) {
+	pts := gaussianCloud(rand.New(rand.NewPCG(5, 6)), 600, 3, 1, 2)
+	for _, maxSample := range []int{0, 100, 600, 1000} {
+		want, err := Fit(pts, Options{MaxSample: maxSample, Rng: rand.New(rand.NewPCG(7, 8))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := 0
+		got, err := FitRows(len(pts), func(i int) []float64 {
+			built++
+			return append([]float64(nil), pts[i]...)
+		}, Options{MaxSample: maxSample, Rng: rand.New(rand.NewPCG(7, 8))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built != want.SampleSize() {
+			t.Errorf("MaxSample %d: built %d rows for a %d-point sample", maxSample, built, want.SampleSize())
+		}
+		if len(got.points) != len(want.points) {
+			t.Fatalf("MaxSample %d: %d points, want %d", maxSample, len(got.points), len(want.points))
+		}
+		for i := range want.points {
+			for j, v := range want.points[i] {
+				if math.Float64bits(got.points[i][j]) != math.Float64bits(v) {
+					t.Fatalf("MaxSample %d: point %d differs: %v vs %v", maxSample, i, got.points[i], want.points[i])
+				}
+			}
+		}
+		for j, h := range want.bandwidth {
+			if math.Float64bits(got.bandwidth[j]) != math.Float64bits(h) {
+				t.Fatalf("MaxSample %d: bandwidth %v, want %v", maxSample, got.bandwidth, want.bandwidth)
+			}
+		}
+	}
+}
+
 func TestScottBandwidthPositive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	pts := gaussianCloud(rng, 200, 3, 5, 2)

@@ -359,16 +359,16 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events
 		if sample == 0 {
 			sample = defaultKDESample
 		}
-		data := view.data
-		points := make([][]float64, data.Len())
-		for i := range points {
-			row := make([]float64, e.Dims())
-			for j, c := range e.spec.FilterCols {
-				row[j] = data.Col(c)[i]
+		// Only the rows the KDE's sample keeps are built.
+		data, cols := view.data, e.spec.FilterCols
+		row := func(i int) []float64 {
+			r := make([]float64, len(cols))
+			for j, c := range cols {
+				r[j] = data.Col(c)[i]
 			}
-			points[i] = row
+			return r
 		}
-		if err := finder.AttachDensity(points, sample, q.Seed+17); err != nil {
+		if err := finder.AttachDensityRows(data.Len(), row, sample, q.Seed+17); err != nil {
 			return nil, err
 		}
 	}
